@@ -135,8 +135,9 @@ let enumerate_sat ?(jobs = 1) ~max_solutions ~time_limit ~k sets =
        worker [j mod jobs].  Irredundant covers of a monotone covering
        problem form an antichain, so every recorded core is globally
        irredundant wherever it is found, and the deduplicated union over
-       cubes is exactly the sequential solution set. *)
-    let start = Sys.time () in
+       cubes is exactly the sequential solution set.  Timed by the wall
+       clock: process CPU time sums over the worker domains. *)
+    let start = Obs.Clock.wall () in
     let found = Atomic.make 0 in
     let worker w =
       let ((union, _, _, vars, _) as inst) = build_cover_instance ~k sets in
@@ -192,7 +193,7 @@ let enumerate_sat ?(jobs = 1) ~max_solutions ~time_limit ~k sets =
         infinity results
     in
     let one_time = if Float.is_finite one_time then one_time else 0.0 in
-    (solutions, one_time, Sys.time () -. start, truncated)
+    (solutions, one_time, Obs.Clock.wall () -. start, truncated)
   end
 
 (* ---------- branch-and-bound oracle ---------- *)
@@ -255,10 +256,10 @@ let enumerate ?(engine = Sat_engine) ?(max_solutions = max_int)
 let diagnose ?(engine = Sat_engine) ?tie_break ?(max_solutions = max_int)
     ?(time_limit = infinity) ?obs ?(jobs = 1) ~k c tests =
   let jobs = Par.clamp_jobs jobs in
-  let t0 = Sys.time () in
+  let t0 = Obs.Clock.wall () in
   let bsim = Bsim.diagnose ?tie_break ?obs ~jobs c tests in
   let sets = bsim.Bsim.candidate_sets in
-  let cnf_time = Sys.time () -. t0 in
+  let cnf_time = Obs.Clock.wall () -. t0 in
   let solutions, one_time, all_time, truncated =
     Telemetry.phase obs "cov/enumerate"
       ~payload:(fun (sols, _, _, _) -> List.length sols)

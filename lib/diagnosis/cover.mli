@@ -17,9 +17,14 @@ type engine = Sat_engine | Backtrack_engine
 type result = {
   bsim : Bsim.result;        (** the underlying BSIM run *)
   solutions : int list list; (** irredundant covers, each sorted *)
-  cnf_time : float;          (** BSIM + instance construction (paper "CNF") *)
-  one_time : float;          (** time to the first solution (paper "One") *)
-  all_time : float;          (** time to enumerate all (paper "All") *)
+  cnf_time : float;
+      (** BSIM + instance construction (paper "CNF"), wall clock *)
+  one_time : float;
+      (** time to the first solution (paper "One"); wall clock when
+          [jobs > 1], process CPU time otherwise *)
+  all_time : float;
+      (** time to enumerate all (paper "All"); wall clock when
+          [jobs > 1], process CPU time otherwise *)
   truncated : bool;          (** hit [max_solutions] or [time_limit] *)
 }
 

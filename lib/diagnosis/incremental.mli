@@ -6,7 +6,15 @@
     diagnosis instance grows but the solver keeps its learned clauses.
     This driver owns one live instance; each enumeration uses an
     activation-guarded set of blocking clauses so it can be retired when
-    the test set is extended. *)
+    the test set is extended.
+
+    The context also carries its last complete answer forward.  Validity
+    is per test, so a correction essential for the old tests that also
+    repairs every new test (checked by simulation, {!Validity.check_sim})
+    is essential for the grown set, and every other essential of the
+    grown set strictly contains an old essential that failed.  A repeat
+    on an unchanged test set therefore needs no solver call, and after
+    growth the solver only searches for the new, larger essentials. *)
 
 type t
 
@@ -52,7 +60,15 @@ val retired : t -> bool
 
 val add_tests : t -> Sim.Testgen.test list -> unit
 (** Extend the live instance with more tests (no re-encoding of the
-    existing copies; learned clauses are kept). *)
+    existing copies; learned clauses are kept).  If encoding fails part
+    way, the context is {!retire}d before the exception propagates: a
+    half-extended instance never answers. *)
+
+val fail_next_add_tests : after:int -> unit
+(** Fault injection for robustness tests: the next {!add_tests} call on
+    any context raises [Failure] after encoding [after] of its tests.
+    One-shot; a call that adds [after] tests or fewer disarms it without
+    failing. *)
 
 val num_tests : t -> int
 
@@ -61,6 +77,20 @@ val solutions :
 (** Enumerate the essential valid corrections for the *current* test
     set (Fig. 3's incremental-k loop on the live instance), in canonical
     (cardinality, lexicographic) order.
+
+    The last complete (untruncated) answer is carried forward.  On an
+    unchanged test set it is returned without a solver call.  After
+    {!add_tests}, each carried correction is re-checked by simulation
+    against the new tests only; the survivors are blocked and counted as
+    found, and the level loop starts at the smallest level that can hold
+    a new essential (one above the smallest failed correction), so it
+    searches only for new essentials.  The answer equals a cold
+    enumeration.  The carried answer is not used — the call enumerates
+    from scratch — when [budget] is already exhausted, when the carried
+    set has [max_solutions] or more corrections, and, for growth, in a
+    [certify] context (every reported correction then stays backed by a
+    checked solver answer on the full test set) or when [k] > 16.  See
+    {!reused} and {!revalidated}.
 
     [budget] caps total solver effort and [max_solutions] the
     enumeration length; when either cuts the run short the prefix found
@@ -73,13 +103,24 @@ val solutions :
     accumulated workload: a live solver cannot be shared across domains,
     so the parallel path trades the learned-clause reuse for the
     portfolio.  The live instance (and {!stats}) is untouched;
-    {!last_truncated} reflects the portfolio run. *)
+    {!last_truncated} reflects the portfolio run.  A carried answer that
+    settles the request without search (a repeat, or growth where no
+    carried correction that failed is smaller than [k]) is returned
+    without the portfolio. *)
 
 val last_truncated : t -> bool
 (** Whether the most recent {!solutions} call was cut short by its
     budget or solution cap (initially [false]). *)
 
 val stats : t -> Sat.Solver.stats
+
+val reused : t -> int
+(** Solutions answered from a carried answer over the context's
+    lifetime, without a solver search. *)
+
+val revalidated : t -> int
+(** Carried solutions re-checked by simulation against new tests over
+    the context's lifetime. *)
 
 val cert_checks : t -> int
 (** With [certify]: answers verified over the instance's lifetime —

@@ -164,8 +164,7 @@ let cert_fail c msg = c.failures <- msg :: c.failures
 (* feed the checker every proof step recorded since the last drain;
    returns the fresh slice so Unsat claims can look for their clause *)
 let drain_steps c =
-  let steps = Sat.Proof.steps c.proof in
-  let fresh = Array.sub steps c.drained (Array.length steps - c.drained) in
+  let fresh = Sat.Proof.steps_from c.proof c.drained in
   Array.iteri
     (fun i st ->
       match Sat.Drup_check.check_step c.checker st with
@@ -173,7 +172,7 @@ let drain_steps c =
       | Error msg ->
           cert_fail c (Printf.sprintf "proof step %d: %s" (c.drained + i + 1) msg))
     fresh;
-  c.drained <- Array.length steps;
+  c.drained <- c.drained + Array.length fresh;
   fresh
 
 let certify_result t ~assumptions result =

@@ -203,8 +203,7 @@ let build_directed ?(certify = false) ~golden solver circ ~survivor ~victim =
 let cert_fail c msg = c.failures <- msg :: c.failures
 
 let drain_steps c =
-  let steps = Sat.Proof.steps c.proof in
-  let fresh = Array.sub steps c.drained (Array.length steps - c.drained) in
+  let fresh = Sat.Proof.steps_from c.proof c.drained in
   Array.iteri
     (fun i st ->
       match Sat.Drup_check.check_step c.checker st with
@@ -212,7 +211,7 @@ let drain_steps c =
       | Error msg ->
           cert_fail c (Printf.sprintf "proof step %d: %s" (c.drained + i + 1) msg))
     fresh;
-  c.drained <- Array.length steps
+  c.drained <- c.drained + Array.length fresh
 
 let certify_result t result =
   match t.cert with

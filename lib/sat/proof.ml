@@ -69,10 +69,12 @@ let close t = match t.sink with Channel oc -> flush oc | Memory _ -> ()
 
 let num_steps t = t.count
 
-let steps t =
+let steps_from t i =
   match t.sink with
-  | Memory m -> Array.sub m.a 0 m.n
+  | Memory m -> Array.sub m.a i (m.n - i)
   | Channel _ -> invalid_arg "Proof.steps: channel-backed sink"
+
+let steps t = steps_from t 0
 
 let to_string t =
   match t.sink with

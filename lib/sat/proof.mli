@@ -50,6 +50,13 @@ val steps : t -> step array
 (** The retained steps, in derivation order.
     @raise Invalid_argument on a channel-backed sink. *)
 
+val steps_from : t -> int -> step array
+(** [steps_from t i]: the retained steps from index [i] on (the steps a
+    consumer that has seen the first [i] has not), without copying the
+    earlier ones.
+    @raise Invalid_argument on a channel-backed sink or when [i] is
+    outside [0 .. num_steps]. *)
+
 val step_to_string : step -> string
 (** One DRUP text line, newline-terminated. *)
 

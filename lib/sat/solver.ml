@@ -101,6 +101,10 @@ type t = {
   mutable ok : bool;
   mutable model_valid : bool;
   mutable final_model : bool array;
+  mutable model_pending : (int * int array list) list;
+      (* the eliminations at the last [Sat] answer, not yet replayed
+         into [final_model]: most reads are of active variables, so the
+         replay waits for the first read of an eliminated one *)
   mutable s_decisions : int;
   mutable s_propagations : int;
   mutable s_conflicts : int;
@@ -156,6 +160,7 @@ let create () =
     ok = true;
     model_valid = false;
     final_model = [||];
+    model_pending = [];
     s_decisions = 0;
     s_propagations = 0;
     s_conflicts = 0;
@@ -1310,7 +1315,7 @@ let analyze_final s p =
    exactly when one of its stored positive occurrences has every other
    literal false (every negative occurrence is then satisfied, or one
    of the recorded resolvents would have been falsified) *)
-let extend_model s m =
+let extend_model elim_stack m =
   List.iter
     (fun (v, cls) ->
       let lit_true l =
@@ -1322,7 +1327,7 @@ let extend_model s m =
             Array.exists (fun l -> l = 2 * v) codes
             && Array.for_all (fun l -> l = 2 * v || not (lit_true l)) codes)
           cls)
-    s.elim_stack
+    elim_stack
 
 let solve_limited ?(assumptions = []) ~budget s =
   s.model_valid <- false;
@@ -1469,9 +1474,8 @@ let solve_limited ?(assumptions = []) ~budget s =
       (* keep the final model readable, then reset the trail *)
       if r = Solved Sat then begin
         s.model_valid <- true;
-        let m = Array.init s.nvars (fun v -> s.assigns.(v) = 1) in
-        extend_model s m;
-        s.final_model <- m
+        s.final_model <- Array.init s.nvars (fun v -> s.assigns.(v) = 1);
+        s.model_pending <- s.elim_stack
       end;
       cancel_until s 0;
       release ();
@@ -1484,12 +1488,25 @@ let solve ?assumptions s =
   | Solved r -> r
   | Unknown -> assert false (* an unlimited budget is never exhausted *)
 
+(* While the model is valid no variable is restored (adding a clause or
+   solving invalidates it first), so a variable eliminated at the [Sat]
+   answer is still flagged eliminated here.  [simplify] may eliminate
+   more, which only triggers the replay early: [model_pending] is the
+   stack as it was at the answer. *)
+let complete_model s =
+  if s.model_pending <> [] then begin
+    extend_model s.model_pending s.final_model;
+    s.model_pending <- []
+  end
+
 let value s v =
   if not s.model_valid then invalid_arg "Solver.value: no model";
+  if s.eliminated.(v) then complete_model s;
   s.final_model.(v)
 
 let model s =
   if not s.model_valid then invalid_arg "Solver.model: no model";
+  complete_model s;
   Array.copy s.final_model
 
 let stats s =

@@ -39,6 +39,11 @@ let find t key =
 
 let add t key value = Hashtbl.replace t.tbl key { value; stamp = tick t }
 
+let remove t key =
+  let e = Hashtbl.find_opt t.tbl key in
+  Hashtbl.remove t.tbl key;
+  Option.map (fun e -> e.value) e
+
 (* stamps are unique, so the minimum — and with it the whole eviction
    order — is deterministic regardless of hash-table iteration order *)
 let victim ?(keep = fun _ -> false) t =

@@ -29,6 +29,10 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert (or replace) with fresh recency.  The cache may temporarily
     exceed its capacity — call {!trim} to enforce it. *)
 
+val remove : ('k, 'v) t -> 'k -> 'v option
+(** Drop an entry regardless of recency, returning its value so the
+    caller can release it.  Not an eviction: no counter moves. *)
+
 val trim : ?keep:('k -> bool) -> ('k, 'v) t -> ('k * 'v) list
 (** Evict least-recently-used entries until [length <= capacity],
     skipping entries for which [keep] holds (default: keep nothing).

@@ -4,6 +4,8 @@ type outcome = {
   cert_checks : int;
   cert_failures : string list;
   conflicts : int;
+  reused : int;
+  revalidated : int;
   stats : Obs.Json.t option;
 }
 
@@ -31,6 +33,8 @@ let run ?obs ?budget ?(jobs = 1) ~max_solutions inc =
   let st0 = Diagnosis.Incremental.stats inc in
   let checks0 = Diagnosis.Incremental.cert_checks inc in
   let failures0 = List.length (Diagnosis.Incremental.cert_failures inc) in
+  let reused0 = Diagnosis.Incremental.reused inc in
+  let revalidated0 = Diagnosis.Incremental.revalidated inc in
   let solutions =
     Diagnosis.Incremental.solutions ~max_solutions ?budget ~jobs inc
   in
@@ -41,6 +45,8 @@ let run ?obs ?budget ?(jobs = 1) ~max_solutions inc =
       (fun i _ -> i >= failures0)
       (Diagnosis.Incremental.cert_failures inc)
   in
+  let reused = Diagnosis.Incremental.reused inc - reused0 in
+  let revalidated = Diagnosis.Incremental.revalidated inc - revalidated0 in
   let st_delta = delta st0 (Diagnosis.Incremental.stats inc) in
   let stats =
     Option.map
@@ -51,6 +57,10 @@ let run ?obs ?budget ?(jobs = 1) ~max_solutions inc =
         Obs.add o "incremental/tests" (Diagnosis.Incremental.num_tests inc);
         Obs.add o "incremental/truncated" (if truncated then 1 else 0);
         Obs.add o "incremental/cert_checks" cert_checks;
+        (* only requests that used a carried answer carry these keys, so
+           a cold request's block is unchanged *)
+        if reused > 0 then Obs.add o "incremental/reused" reused;
+        if revalidated > 0 then Obs.add o "incremental/revalidated" revalidated;
         Obs.to_json ~times:false o)
       obs
   in
@@ -60,5 +70,7 @@ let run ?obs ?budget ?(jobs = 1) ~max_solutions inc =
     cert_checks;
     cert_failures;
     conflicts = st_delta.Sat.Solver.conflicts;
+    reused;
+    revalidated;
     stats;
   }

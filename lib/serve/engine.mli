@@ -15,12 +15,20 @@ type outcome = {
           portfolio, which bypasses the live solver) — always computed,
           with or without [obs]; the server feeds it into its
           per-request effort sketch *)
+  reused : int;
+      (** solutions this request answered from the context's carried
+          answer ({!Diagnosis.Incremental.reused} delta) *)
+  revalidated : int;
+      (** carried solutions this request re-checked by simulation
+          ({!Diagnosis.Incremental.revalidated} delta) *)
   stats : Obs.Json.t option;
       (** with [obs]: the request's deterministic stats block —
           [Obs.to_json ~times:false] of the registry after recording
           this request's solver-counter deltas under ["incremental/…"]
           plus ["incremental/solutions"], ["incremental/tests"],
-          ["incremental/truncated"] and ["incremental/cert_checks"] *)
+          ["incremental/truncated"] and ["incremental/cert_checks"], and
+          ["incremental/reused"] / ["incremental/revalidated"] when
+          non-zero *)
 }
 
 val run :

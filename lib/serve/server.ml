@@ -262,6 +262,8 @@ let empty_outcome =
     cert_checks = 0;
     cert_failures = [];
     conflicts = 0;
+    reused = 0;
+    revalidated = 0;
     stats = None;
   }
 
@@ -275,7 +277,7 @@ let empty_response ~(d : Protocol.diagnose) ~ckey ~warm ~faulty ~injected ~k =
 type served_one = {
   sr_resp : J.t;
   sr_warm : bool;
-  sr_conflicts : int;
+  sr_effort : Engine.outcome;  (* solutions dropped; see [run_engine] *)
   sr_nevents : int;
   sr_events : Obs.event list;
 }
@@ -288,13 +290,13 @@ let serve_one ~tracing registry ctx (d : Protocol.diagnose) =
      [stats:true], so responses are unchanged by tracing *)
   let want_obs = d.Protocol.stats || tracing in
   let obs = if want_obs then Some registry else None in
-  let conflicts = ref 0 in
+  let effort = ref empty_outcome in
   let run_engine inc =
     let o =
       Engine.run ?obs ?budget:d.Protocol.budget
         ~max_solutions:d.Protocol.max_solutions inc
     in
-    conflicts := o.Engine.conflicts;
+    effort := { o with Engine.solutions = []; stats = None };
     if d.Protocol.stats then o else { o with Engine.stats = None }
   in
   let faulty = ensure_faulty ctx in
@@ -370,7 +372,7 @@ let serve_one ~tracing registry ctx (d : Protocol.diagnose) =
   {
     sr_resp = resp;
     sr_warm = warm;
-    sr_conflicts = !conflicts;
+    sr_effort = !effort;
     sr_nevents =
       (if want_obs then Obs.Trace.emitted (Obs.trace registry) else 0);
     sr_events =
@@ -403,7 +405,7 @@ type measure = {
   m_dispatch : float;
   m_finish : float;
   m_gc_words : int;
-  m_conflicts : int;
+  m_effort : Engine.outcome;
   m_nevents : int;
   m_events : Obs.event list;
 }
@@ -427,11 +429,19 @@ let work_one ~tracing registry ctx (idx, d, trace_id, enqueue) =
         m_dispatch = dispatch;
         m_finish = Obs.Clock.wall ();
         m_gc_words = int_of_float allocated;
-        m_conflicts = s.sr_conflicts;
+        m_effort = s.sr_effort;
         m_nevents = s.sr_nevents;
         m_events = s.sr_events;
       }
   | exception e ->
+      (* the context may be half-updated (say, tests encoded into the
+         live instance but not recorded in [ctx.tests]): retire it and
+         forget its state here, and [run_batch] evicts it, so no later
+         request is answered from it *)
+      retire_context ctx;
+      ctx.inc <- None;
+      ctx.tests <- [];
+      ctx.wanted <- -1;
       {
         m_idx = idx;
         m_resp = Protocol.error ?id:d.Protocol.id (Printexc.to_string e);
@@ -442,7 +452,7 @@ let work_one ~tracing registry ctx (idx, d, trace_id, enqueue) =
         m_dispatch = dispatch;
         m_finish = Obs.Clock.wall ();
         m_gc_words = 0;
-        m_conflicts = 0;
+        m_effort = empty_outcome;
         m_nevents = 0;
         m_events = [];
       }
@@ -464,7 +474,9 @@ let account t w m =
       Obs.Sketch.observe (if warm then t.queue_warm else t.queue_cold)
         queue_us;
       Obs.Sketch.observe t.gc_alloc m.m_gc_words;
-      Obs.Sketch.observe t.req_conflicts m.m_conflicts;
+      Obs.Sketch.observe t.req_conflicts m.m_effort.Engine.conflicts;
+      Obs.add t.mobs "incremental/reused" m.m_effort.Engine.reused;
+      Obs.add t.mobs "incremental/revalidated" m.m_effort.Engine.revalidated;
       Obs.Sketch.observe t.req_events m.m_nevents;
       Obs.Rolling.note t.req_rate ~now:(rate_now t m.m_finish);
       (match t.slow_ms with
@@ -479,7 +491,7 @@ let account t w m =
                    ("warm", J.Bool warm);
                    ("latency_us", J.Int latency_us);
                    ("queue_wait_us", J.Int queue_us);
-                   ("conflicts", J.Int m.m_conflicts);
+                   ("conflicts", J.Int m.m_effort.Engine.conflicts);
                    ("events", J.Int m.m_nevents);
                  ])
             "serve/slow"
@@ -555,6 +567,13 @@ let run_batch t (requests : Protocol.diagnose list) =
     |> List.sort (fun (_, a) (_, b) -> compare a.m_idx b.m_idx)
   in
   List.iter (fun (w, m) -> account t w m) measured;
+  (* a request that failed left its context retired (see [work_one]);
+     drop it so the next request for the shape starts cold *)
+  List.iter
+    (fun (_, m) ->
+      if m.m_warm = None then
+        Option.iter retire_context (Cache.remove t.contexts m.m_ckey))
+    measured;
   let prepare_errors =
     List.filter_map
       (function Either.Left (idx, resp) -> Some (idx, resp) | _ -> None)
@@ -662,6 +681,12 @@ let exposition t ~times =
   counter "diagnose_errors_total" "Requests answered with an error" t.errors;
   counter "diagnose_slow_requests_total"
     "Requests at or above the --slow-ms threshold" (mval t "serve/slow");
+  counter "diagnose_incremental_reused_total"
+    "Solutions answered from a context's carried answer, without search"
+    (mval t "incremental/reused");
+  counter "diagnose_incremental_revalidated_total"
+    "Carried solutions re-checked by simulation against new tests"
+    (mval t "incremental/revalidated");
   header "diagnose_cache_hits_total" "LRU cache hits" "counter";
   irow "diagnose_cache_hits_total"
     [ ("cache", "circuit") ]

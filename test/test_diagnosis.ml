@@ -670,23 +670,166 @@ let test_incremental_reenumeration_stable () =
   let b = Diagnosis.Incremental.solutions inc |> List.sort compare in
   Alcotest.(check (list (list int))) "same twice" a b
 
+let test_incremental_carry_forward () =
+  (* a repeat answers from the carried set without touching the solver;
+     growth re-checks the carried set by simulation on the new tests
+     only, and the answer still equals a cold enumeration *)
+  let _, faulty, _, tests = workload 43 1 in
+  let half = List.filteri (fun i _ -> i < List.length tests / 2) tests in
+  let rest = List.filteri (fun i _ -> i >= List.length tests / 2) tests in
+  let obs = Obs.create () in
+  let inc = Diagnosis.Incremental.create ~obs ~k:2 faulty half in
+  let first = Diagnosis.Incremental.solutions inc in
+  Alcotest.(check bool) "workload is non-trivial" true (first <> []);
+  let before = Diagnosis.Incremental.stats inc in
+  let again = Diagnosis.Incremental.solutions inc in
+  Alcotest.(check (list (list int))) "repeat = first answer" first again;
+  Alcotest.(check bool) "repeat makes no solver call" true
+    (Diagnosis.Incremental.stats inc = before);
+  Alcotest.(check int) "repeat reuses every solution" (List.length first)
+    (Diagnosis.Incremental.reused inc);
+  Alcotest.(check int) "repeat re-checks nothing" 0
+    (Diagnosis.Incremental.revalidated inc);
+  Diagnosis.Incremental.add_tests inc rest;
+  let grown = Diagnosis.Incremental.solutions inc in
+  Alcotest.(check (list (list int))) "grown = cold enumeration"
+    (Diagnosis.Bsat.diagnose ~k:2 faulty tests).Diagnosis.Bsat.solutions grown;
+  Alcotest.(check int) "growth re-checks every carried solution"
+    (List.length first)
+    (Diagnosis.Incremental.revalidated inc);
+  let revalidations =
+    List.filter_map
+      (fun e ->
+        if e.Obs.name = "incremental/revalidate" then Some e.Obs.payload
+        else None)
+      (Obs.Trace.events (Obs.trace obs))
+  in
+  Alcotest.(check (list int)) "simulation sees only the new tests"
+    [ List.length rest ] revalidations;
+  Diagnosis.Incremental.retire inc
+
+let test_incremental_fault_retires () =
+  let _, faulty, _, tests = workload 44 1 in
+  let half = List.filteri (fun i _ -> i < List.length tests / 2) tests in
+  let rest = List.filteri (fun i _ -> i >= List.length tests / 2) tests in
+  let inc = Diagnosis.Incremental.create ~k:1 faulty half in
+  ignore (Diagnosis.Incremental.solutions inc);
+  Diagnosis.Incremental.fail_next_add_tests ~after:1;
+  (match Diagnosis.Incremental.add_tests inc rest with
+  | () -> Alcotest.fail "armed fault did not fire"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "half-grown context retired" true
+    (Diagnosis.Incremental.retired inc);
+  match Diagnosis.Incremental.solutions inc with
+  | _ -> Alcotest.fail "a retired context answered"
+  | exception Invalid_argument _ -> ()
+
+(* one request on a warm context: the QCheck differential's alphabet *)
+type request = Repeat | Grow of int | Capped of int | Budget0 | Cold
+
+let request_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Repeat);
+        (4, map (fun n -> Grow n) (int_range 1 2));
+        (2, map (fun c -> Capped c) (int_range 0 3));
+        (1, return Budget0);
+        (1, return Cold);
+      ])
+
+let show_request = function
+  | Repeat -> "repeat"
+  | Grow n -> Printf.sprintf "grow %d" n
+  | Capped c -> Printf.sprintf "cap %d" c
+  | Budget0 -> "budget0"
+  | Cold -> "cold"
+
+let prop_incremental_carry_differential =
+  QCheck.Test.make ~count:20
+    ~name:"warm request sequences = fresh Bsat on the accumulated tests"
+    (QCheck.make
+       ~print:(fun ((seed, p), reqs) ->
+         Printf.sprintf "seed=%d p=%d [%s]" seed p
+           (String.concat "; "
+              (List.map
+                 (fun (r, jobs) -> Printf.sprintf "%s@%d" (show_request r) jobs)
+                 reqs)))
+       QCheck.Gen.(
+         pair
+           (pair (int_range 0 5000) (int_range 1 2))
+           (list_size (int_range 1 8)
+              (pair request_gen (oneofl [ 1; 4 ])))))
+    (fun ((seed, p), reqs) ->
+      let _, faulty, _, tests = workload seed p in
+      QCheck.assume (List.length tests >= 3);
+      let have = ref 2 in
+      let prefix () = List.filteri (fun i _ -> i < !have) tests in
+      let inc = ref (Diagnosis.Incremental.create ~k:p faulty (prefix ())) in
+      List.for_all
+        (fun (r, jobs) ->
+          let max_solutions, budget =
+            match r with
+            | Capped c -> (c, None)
+            | Budget0 -> (max_int, Some (Sat.Budget.create ~conflicts:0 ()))
+            | Repeat | Grow _ | Cold -> (max_int, None)
+          in
+          (match r with
+          | Grow n ->
+              let more =
+                List.filteri (fun i _ -> i >= !have && i < !have + n) tests
+              in
+              have := !have + List.length more;
+              Diagnosis.Incremental.add_tests !inc more
+          | Cold ->
+              Diagnosis.Incremental.retire !inc;
+              inc := Diagnosis.Incremental.create ~k:p faulty (prefix ())
+          | Repeat | Capped _ | Budget0 -> ());
+          let got =
+            Diagnosis.Incremental.solutions ~max_solutions ?budget ~jobs !inc
+          in
+          let truncated = Diagnosis.Incremental.last_truncated !inc in
+          let full =
+            (Diagnosis.Bsat.diagnose ~k:p faulty (prefix ()))
+              .Diagnosis.Bsat.solutions
+          in
+          let sound = List.for_all (fun s -> List.mem s full) got in
+          Diagnosis.Solutions.canonical got = got
+          &&
+          match r with
+          | Budget0 -> got = [] && truncated
+          | Capped c ->
+              sound
+              && List.length got <= c
+              && (truncated || got = full)
+              && (List.length full <= c || truncated)
+          | Repeat | Grow _ | Cold -> got = full && not truncated)
+        reqs)
+
 let test_incremental_certified () =
   (* the certified live instance keeps verifying across add_tests (the
      checker sees later clauses and retired guards through the same emit
      hook) and across a portfolio run, with the same solutions *)
   let _, faulty, _, tests = workload 42 1 in
-  let half = List.filteri (fun i _ -> i < List.length tests / 2) tests in
-  let rest = List.filteri (fun i _ -> i >= List.length tests / 2) tests in
-  let plain = Diagnosis.Incremental.create ~k:1 faulty half in
-  let inc = Diagnosis.Incremental.create ~certify:true ~k:1 faulty half in
+  let n = List.length tests in
+  let part lo hi = List.filteri (fun i _ -> i >= lo && i < hi) tests in
+  let first = part 0 (n / 3) and second = part (n / 3) (2 * n / 3) in
+  let third = part (2 * n / 3) n in
+  Alcotest.(check bool) "three non-empty parts" true (third <> [] && first <> []);
+  let plain = Diagnosis.Incremental.create ~k:1 faulty first in
+  let inc = Diagnosis.Incremental.create ~certify:true ~k:1 faulty first in
   let run i = Diagnosis.Incremental.solutions i |> List.sort compare in
   Alcotest.(check (list (list int))) "certified = plain" (run plain) (run inc);
-  Diagnosis.Incremental.add_tests plain rest;
-  Diagnosis.Incremental.add_tests inc rest;
+  Diagnosis.Incremental.add_tests plain second;
+  Diagnosis.Incremental.add_tests inc second;
   Alcotest.(check (list (list int)))
     "certified = plain after add_tests" (run plain) (run inc);
   let live_checks = Diagnosis.Incremental.cert_checks inc in
   Alcotest.(check bool) "live answers verified" true (live_checks > 0);
+  (* growth in a certified context is always re-solved, here by the
+     portfolio *)
+  Diagnosis.Incremental.add_tests plain third;
+  Diagnosis.Incremental.add_tests inc third;
   let par =
     Diagnosis.Incremental.solutions ~jobs:2 inc |> List.sort compare
   in
@@ -1043,6 +1186,7 @@ let qtests =
       prop_hybrid_guided_same_solutions;
       prop_hybrid_repair_valid;
       prop_incremental_matches_scratch;
+      prop_incremental_carry_differential;
       prop_hitting_equals_bsat;
       prop_hitting_subsumes_valid_covers;
       prop_xlist_contains_single_error;
@@ -1112,6 +1256,10 @@ let () =
             test_incremental_reenumeration_stable;
           Alcotest.test_case "certified lifetime" `Quick
             test_incremental_certified;
+          Alcotest.test_case "carry forward" `Quick
+            test_incremental_carry_forward;
+          Alcotest.test_case "fault mid-add_tests retires" `Quick
+            test_incremental_fault_retires;
         ] );
       ( "hitting",
         [

@@ -256,12 +256,15 @@ let prop_incremental_equivalent =
       let rest =
         List.filteri (fun i _ -> i >= List.length tests / 2) tests
       in
-      let inc = Diagnosis.Incremental.create ~k:p faulty half in
-      Diagnosis.Incremental.add_tests inc rest;
-      let s1 = Diagnosis.Incremental.solutions ~jobs:1 inc in
-      List.for_all
-        (fun jobs -> Diagnosis.Incremental.solutions ~jobs inc = s1)
-        widths)
+      (* a fresh context per width: a warm one would answer later
+         widths from its carried set instead of running the portfolio *)
+      let grown jobs =
+        let inc = Diagnosis.Incremental.create ~k:p faulty half in
+        Diagnosis.Incremental.add_tests inc rest;
+        Diagnosis.Incremental.solutions ~jobs inc
+      in
+      let s1 = grown 1 in
+      List.for_all (fun jobs -> grown jobs = s1) widths)
 
 let prop_hitting_equivalent =
   QCheck.Test.make ~count:15
@@ -441,6 +444,35 @@ let prop_hitting_budget_subset =
             rn.Diagnosis.Hitting.solutions)
         (1 :: widths))
 
+(* ---------- timing ---------- *)
+
+(* COV's reported times come from the wall clock at every width: process
+   CPU time sums over the worker domains, so at jobs 4 it could exceed
+   the elapsed time of the call. *)
+let test_cover_times_within_wall () =
+  let golden =
+    Netlist.Generators.random_dag ~seed:11 ~num_inputs:12 ~num_gates:200
+      ~num_outputs:6 ()
+  in
+  let faulty, _ = Sim.Injector.inject ~seed:12 ~num_errors:3 golden in
+  let tests =
+    Sim.Testgen.generate ~seed:13 ~max_vectors:4096 ~wanted:16 ~golden ~faulty
+  in
+  let t0 = Obs.Clock.wall () in
+  let r = Diagnosis.Cover.diagnose ~jobs:4 ~k:4 faulty tests in
+  let wall = Obs.Clock.wall () -. t0 in
+  List.iter
+    (fun (name, t) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %.4fs <= wall %.4fs" name t wall)
+        true
+        (t >= 0.0 && t <= wall))
+    [
+      ("cnf_time", r.Diagnosis.Cover.cnf_time);
+      ("one_time", r.Diagnosis.Cover.one_time);
+      ("all_time", r.Diagnosis.Cover.all_time);
+    ]
+
 (* ---------- serve observability across widths ---------- *)
 
 (* The server's logical observability — the stats op (cache counters
@@ -553,6 +585,11 @@ let () =
             prop_hitting_zero_budget_identical;
             prop_hitting_budget_subset;
           ] );
+      ( "timing",
+        [
+          Alcotest.test_case "COV times within the wall clock at jobs 4"
+            `Quick test_cover_times_within_wall;
+        ] );
       ( "serve observability",
         [
           Alcotest.test_case "stats and metrics width-invariant" `Quick

@@ -467,6 +467,19 @@ let test_proof_deterministic () =
   in
   Alcotest.(check string) "byte-identical proofs" (run ()) (run ())
 
+let test_proof_steps_from () =
+  (* the drain accessor: every suffix, the empty one included *)
+  let _, proof = solve_with_proof (php_lists 4 3) [] in
+  let all = Sat.Proof.steps proof in
+  let n = Array.length all in
+  Alcotest.(check int) "all steps retained" (Sat.Proof.num_steps proof) n;
+  for i = 0 to n do
+    Alcotest.(check bool)
+      (Printf.sprintf "suffix from %d" i)
+      true
+      (Sat.Proof.steps_from proof i = Array.sub all i (n - i))
+  done
+
 let test_proof_mutations_rejected () =
   let lists = php_lists 4 3 in
   let cnf () = cnf_of_lists lists in
@@ -645,8 +658,17 @@ let test_simplify_bve_model_extension () =
   Alcotest.(check bool) "eliminated something" true
     ((stats_of s).Sat.Solver.eliminated >= 1);
   Alcotest.(check bool) "still sat" true (Sat.Solver.solve s = Sat.Solver.Sat);
+  (* the model is completed lazily: single reads (active variables
+     first), a later [simplify] and the full model all agree *)
+  let n = Sat.Solver.num_vars s in
+  let reads = Array.init n (fun i -> Sat.Solver.value s (n - 1 - i)) in
+  Sat.Solver.simplify s;
+  let full = Sat.Solver.model s in
+  Alcotest.(check (array bool)) "reads = model"
+    (Array.init n (fun v -> full.(n - 1 - v)))
+    reads;
   Alcotest.(check bool) "model covers the eliminated variables" true
-    (Sat.Cnf.eval (cnf_of_lists lists) (Sat.Solver.model s));
+    (Sat.Cnf.eval (cnf_of_lists lists) full);
   ignore (replay_proof_incrementally lists proof)
 
 let test_simplify_restore_on_demand () =
@@ -1079,6 +1101,8 @@ let () =
             test_proof_assumption_core_checked;
           Alcotest.test_case "byte deterministic" `Quick
             test_proof_deterministic;
+          Alcotest.test_case "steps from an index" `Quick
+            test_proof_steps_from;
           Alcotest.test_case "mutations rejected" `Quick
             test_proof_mutations_rejected;
           Alcotest.test_case "rup basics" `Quick test_checker_rup_basics;

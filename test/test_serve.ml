@@ -327,6 +327,27 @@ let test_context_eviction_retires () =
       Alcotest.(check int) "cache back at capacity" 1 n
   | _ -> Alcotest.fail "stats response malformed"
 
+let test_fault_mid_growth_evicts () =
+  (* a fault half-way through growing a warm context: the request
+     errors, the context is retired and evicted, and the next request
+     for the same shape is byte-identical to a cold run *)
+  let serve server d = fst (Server.handle server (P.Diagnose d)) in
+  let server = Server.create ~jobs:1 resolve in
+  ignore (serve server (req ~tests:4 ~stats:true ()));
+  Diagnosis.Incremental.fail_next_add_tests ~after:1;
+  let failed = serve server (req ~tests:10 ~stats:true ()) in
+  Alcotest.(check bool) "faulted request errors" false (bool_member "ok" failed);
+  let next = serve server (req ~tests:10 ~stats:true ()) in
+  let cold = serve (Server.create ~jobs:1 resolve) (req ~tests:10 ~stats:true ()) in
+  Alcotest.(check string) "next request = cold run" (J.to_string cold)
+    (J.to_string next);
+  let stats, _ = Server.handle server (P.Stats { id = None }) in
+  match (member "errors" stats, member "contexts" stats) with
+  | J.Int errors, J.Int contexts ->
+      Alcotest.(check int) "one error" 1 errors;
+      Alcotest.(check int) "one live context" 1 contexts
+  | _ -> Alcotest.fail "stats response malformed"
+
 (* ---------- observability: metrics, health, slow log, tracing ---------- *)
 
 let exposition_lines s = String.split_on_char '\n' s |> List.filter (( <> ) "")
@@ -573,6 +594,8 @@ let () =
           Alcotest.test_case "unknown circuit" `Quick test_unknown_circuit;
           Alcotest.test_case "eviction retires and re-serves" `Quick
             test_context_eviction_retires;
+          Alcotest.test_case "fault mid-growth evicts the context" `Quick
+            test_fault_mid_growth_evicts;
         ] );
       ( "observability",
         [
