@@ -29,12 +29,12 @@
 type config = {
   scale : float;
   max_solutions : int;
-  time_limit : float;
+  seconds : float;  (** wall-clock allowance per engine run *)
   jobs : int;  (** worker domains for experiment cells and fault sim *)
 }
 
-let quick = { scale = 0.12; max_solutions = 2000; time_limit = 30.0; jobs = 1 }
-let full = { scale = 1.0; max_solutions = 20000; time_limit = 1800.0; jobs = 1 }
+let quick = { scale = 0.12; max_solutions = 2000; seconds = 30.0; jobs = 1 }
+let full = { scale = 1.0; max_solutions = 20000; seconds = 1800.0; jobs = 1 }
 
 (* machine-readable per-experiment stats; the driver writes every block
    collected by the selected experiments to BENCH_report.json.  Blocks
@@ -62,7 +62,7 @@ let paper_rows =
           |> Par.map ~jobs:cfg.jobs (fun spec ->
                  let prepared = Bench_suite.Workload.prepare spec in
                  Bench_suite.Runner.run ~max_solutions:cfg.max_solutions
-                   ~time_limit:cfg.time_limit prepared)
+                   ~seconds:cfg.seconds prepared)
           |> List.concat
         in
         Hashtbl.add cache cfg.scale rows;

@@ -145,9 +145,12 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
     let obs =
       if stats || trace_out <> None then Some (Core.Obs.create ()) else None
     in
-    (* the simulation-based engines have no solver budget; a seconds
-       budget degrades to their coarser between-solutions time limit *)
-    let time_limit = budget_seconds in
+    (* the simulation-side engines (COV, advanced simulation, the
+       hybrid's COV seed) get only the seconds allowance: a conflict cap
+       bounds the solver-backed steps *)
+    let sim_budget () =
+      Option.map (fun seconds -> Core.Budget.create ~seconds ()) budget_seconds
+    in
     let truncation_notice truncated =
       if truncated then
         Fmt.pr "budget exhausted: enumeration truncated (solutions above are still valid)@."
@@ -167,8 +170,8 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
         Fmt.pr "G_max = %a@." (pp_solution faulty) r.Core.Bsim.gmax
     | Cov ->
         let r =
-          Core.Cover.diagnose ~max_solutions ?time_limit ?obs ~jobs ~k faulty
-            tests
+          Core.Cover.diagnose ~max_solutions ?budget:(sim_budget ()) ?obs
+            ~jobs ~k faulty tests
         in
         report_solutions faulty tests "COV" r.Core.Cover.solutions;
         truncation_notice r.Core.Cover.truncated
@@ -182,7 +185,8 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
         note_cert r.Core.Bsat.cert_checks r.Core.Bsat.cert_failures
     | Advsim ->
         let r =
-          Core.Advanced_sim.diagnose ~max_solutions ?time_limit ~k faulty tests
+          Core.Advanced_sim.diagnose ~max_solutions ?budget:(sim_budget ())
+            ~k faulty tests
         in
         report_solutions faulty tests "advanced-sim"
           r.Core.Advanced_sim.solutions;
@@ -199,8 +203,8 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
           r.Core.Advanced_sat.cert_failures
     | Hybrid ->
         let cov =
-          Core.Cover.diagnose ~max_solutions:1 ?time_limit ?obs ~jobs ~k
-            faulty tests
+          Core.Cover.diagnose ~max_solutions:1 ?budget:(sim_budget ()) ?obs
+            ~jobs ~k faulty tests
         in
         (match cov.Core.Cover.solutions with
         | [] ->
@@ -581,7 +585,7 @@ let serve_cmd_run scale jobs circuit_capacity context_capacity slow_ms
 
 (* ---------- experiment ---------- *)
 
-let experiment_cmd_run scale max_solutions time_limit small =
+let experiment_cmd_run scale max_solutions seconds small =
   let specs =
     if small then Bench_suite.Workload.small_specs ()
     else Bench_suite.Workload.paper_specs ~scale
@@ -590,7 +594,7 @@ let experiment_cmd_run scale max_solutions time_limit small =
     List.concat_map
       (fun spec ->
         let prepared = Bench_suite.Workload.prepare spec in
-        Bench_suite.Runner.run ~max_solutions ~time_limit prepared)
+        Bench_suite.Runner.run ~max_solutions ~seconds prepared)
       specs
   in
   Fmt.pr "== Table 2: runtimes (s) ==@.%a@." Bench_suite.Report.pp_table2 rows;
@@ -686,10 +690,10 @@ let report_cmd =
 
 let experiment_cmd =
   let max_solutions = Arg.(value & opt int 20000 & info [ "max-solutions" ] ~doc:"Per-run solution cap") in
-  let time_limit = Arg.(value & opt float 120.0 & info [ "time-limit" ] ~doc:"Per-run time limit (s)") in
+  let seconds = Arg.(value & opt float 120.0 & info [ "time-limit" ] ~doc:"Per-run time limit (s)") in
   let small = Arg.(value & flag & info [ "small" ] ~doc:"Use the quick structured-circuit workloads") in
   Cmd.v (Cmd.info "experiment" ~doc:"Reproduce the paper's Tables 2/3 and Figure 6")
-    Term.(const experiment_cmd_run $ scale $ max_solutions $ time_limit $ small)
+    Term.(const experiment_cmd_run $ scale $ max_solutions $ seconds $ small)
 
 let serve_cmd =
   let circuits = Arg.(value & opt int 8 & info [ "circuits" ] ~docv:"N" ~doc:"Parsed-netlist cache capacity") in

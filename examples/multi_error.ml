@@ -74,8 +74,9 @@ let () =
 
   (* the advanced approaches *)
   let asim =
-    Core.Advanced_sim.diagnose ~max_solutions:200 ~time_limit:10.0 ~k:p
-      faulty tests
+    Core.Advanced_sim.diagnose ~max_solutions:200
+      ~budget:(Core.Budget.create ~seconds:10.0 ())
+      ~k:p faulty tests
   in
   Fmt.pr "@.advanced sim-based: %d valid corrections (search over marked \
           gates)@."

@@ -1,18 +1,6 @@
-let solver_stats_json (st : Sat.Solver.stats) =
+let solver_stats_json st =
   Obs.Json.Obj
-    [
-      ("decisions", Obs.Json.Int st.Sat.Solver.decisions);
-      ("propagations", Obs.Json.Int st.Sat.Solver.propagations);
-      ("conflicts", Obs.Json.Int st.Sat.Solver.conflicts);
-      ("restarts", Obs.Json.Int st.Sat.Solver.restarts);
-      ("learned", Obs.Json.Int st.Sat.Solver.learned);
-      ("learned_total", Obs.Json.Int st.Sat.Solver.learned_total);
-      ("deleted", Obs.Json.Int st.Sat.Solver.deleted);
-      ("subsumed", Obs.Json.Int st.Sat.Solver.subsumed);
-      ("strengthened", Obs.Json.Int st.Sat.Solver.strengthened);
-      ("vivified", Obs.Json.Int st.Sat.Solver.vivified);
-      ("eliminated", Obs.Json.Int st.Sat.Solver.eliminated);
-    ]
+    (List.map (fun (n, v) -> (n, Obs.Json.Int v)) (Sat.Solver.stats_fields st))
 
 let row_stats_json (r : Runner.row) =
   Obs.Json.Obj

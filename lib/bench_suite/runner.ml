@@ -19,21 +19,26 @@ type row = {
   bsat_stats : Sat.Solver.stats;
 }
 
-let run_row ?max_solutions ?time_limit ?budget (w : Workload.prepared) ~m =
+let run_row ?max_solutions ?seconds (w : Workload.prepared) ~m =
   let spec = w.Workload.spec in
   let tests = List.filteri (fun i _ -> i < m) w.Workload.tests in
   let m = List.length tests in
   let k = spec.Workload.num_errors in
   let faulty = w.Workload.faulty in
   let error_sites = Sim.Fault.sites w.Workload.errors in
-  let t0 = Sys.time () in
+  (* a budget's deadline is absolute: each engine gets its own *)
+  let budget () =
+    Option.map (fun seconds -> Sat.Budget.create ~seconds ()) seconds
+  in
+  let t0 = Obs.Clock.wall () in
   let bsim = Diagnosis.Bsim.diagnose faulty tests in
-  let bsim_time = Sys.time () -. t0 in
+  let bsim_time = Obs.Clock.wall () -. t0 in
   let cov_r =
-    Diagnosis.Cover.diagnose ?max_solutions ?time_limit ~k faulty tests
+    Diagnosis.Cover.diagnose ?max_solutions ?budget:(budget ()) ~k faulty
+      tests
   in
   let bsat_r =
-    Diagnosis.Bsat.diagnose ?max_solutions ?time_limit ?budget ~k faulty
+    Diagnosis.Bsat.diagnose ?max_solutions ?budget:(budget ()) ~k faulty
       tests
   in
   {
@@ -65,7 +70,7 @@ let run_row ?max_solutions ?time_limit ?budget (w : Workload.prepared) ~m =
     bsat_stats = bsat_r.Diagnosis.Bsat.stats;
   }
 
-let run ?max_solutions ?time_limit ?budget w =
+let run ?max_solutions ?seconds w =
   let available = List.length w.Workload.tests in
   let ms =
     w.Workload.spec.Workload.test_counts
@@ -73,4 +78,4 @@ let run ?max_solutions ?time_limit ?budget w =
     |> List.filter (fun m -> m > 0)
     |> List.sort_uniq Int.compare
   in
-  List.map (fun m -> run_row ?max_solutions ?time_limit ?budget w ~m) ms
+  List.map (fun m -> run_row ?max_solutions ?seconds w ~m) ms

@@ -23,13 +23,12 @@ type row = {
 }
 
 val run_row :
-  ?max_solutions:int -> ?time_limit:float -> ?budget:Sat.Budget.t ->
-  Workload.prepared -> m:int -> row
+  ?max_solutions:int -> ?seconds:float -> Workload.prepared -> m:int -> row
 (** Diagnose the faulty circuit with the first [m] tests, k = p.
-    [budget] caps BSAT's solver effort (see {!Diagnosis.Bsat.diagnose}). *)
+    [seconds] bounds COV and BSAT each with a fresh wall-clock
+    {!Sat.Budget} of that many seconds. *)
 
 val run :
-  ?max_solutions:int -> ?time_limit:float -> ?budget:Sat.Budget.t ->
-  Workload.prepared -> row list
+  ?max_solutions:int -> ?seconds:float -> Workload.prepared -> row list
 (** One row per configured m (skipping m values for which not enough
     failing tests exist). *)

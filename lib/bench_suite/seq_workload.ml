@@ -47,7 +47,7 @@ let run ~label ~seed ~frames ~wanted s =
         Array.to_list sets |> List.concat |> List.sort_uniq Int.compare
       in
       let covers = Diagnosis.Seq_diag.diagnose_cov ~k:1 faulty tests in
-      let t0 = Sys.time () in
+      let t0 = Obs.Clock.wall () in
       let bsat = Diagnosis.Seq_diag.diagnose_bsat ~k:1 faulty tests in
       Some
         {
@@ -57,7 +57,7 @@ let run ~label ~seed ~frames ~wanted s =
           bsim_union = List.length union;
           cov_count = List.length covers;
           bsat_count = List.length bsat.Diagnosis.Seq_diag.solutions;
-          bsat_time = Sys.time () -. t0;
+          bsat_time = Obs.Clock.wall () -. t0;
           site_hit =
             List.exists (List.mem site) bsat.Diagnosis.Seq_diag.solutions;
         }

@@ -10,32 +10,49 @@ type result = {
   cert_failures : string list;
 }
 
-(* Inner Bsat runs are deliberately not handed [obs]: their per-call
-   counters would double-count against the final-pass snapshot recorded
-   here.  Phase events around each pass carry the trajectory instead. *)
-let record obs prefix ~solver_calls (r : result) =
-  match obs with
+(* The result over the Bsat passes run, in order; [final] supplies the
+   solver counters.  Inner Bsat runs are deliberately not handed [obs]:
+   their per-call counters would double-count against the final-pass
+   snapshot recorded here.  Phase events around each pass carry the
+   trajectory instead. *)
+let finish obs prefix ~t0 ~solutions ~final passes =
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 passes in
+  let r =
+    {
+      solutions;
+      pass1_solutions = (List.hd passes).Bsat.solutions;
+      total_time = Obs.Clock.wall () -. t0;
+      truncated = List.exists (fun r -> r.Bsat.truncated) passes;
+      stats = final.Bsat.stats;
+      cert_checks = sum (fun r -> r.Bsat.cert_checks);
+      cert_failures = List.concat_map (fun r -> r.Bsat.cert_failures) passes;
+    }
+  in
+  (match obs with
   | None -> ()
   | Some obs ->
       Telemetry.record_run obs ~prefix
         ~solutions:(List.length r.solutions)
-        ~solver_calls ~truncated:r.truncated r.stats;
-      Obs.record_span obs (prefix ^ "/total") r.total_time
+        ~solver_calls:(sum (fun r -> r.Bsat.solver_calls))
+        ~truncated:r.truncated r.stats;
+      Obs.record_span obs (prefix ^ "/total") r.total_time);
+  r
 
-let diagnose_dominators ?max_solutions ?time_limit ?budget ?obs ?certify ?jobs
+let diagnose_dominators ?max_solutions ?budget ?obs ?certify ?jobs
     ~k c tests =
-  let t0 = Sys.time () in
+  let t0 = Obs.Clock.wall () in
   let dom = Dominators.compute c in
   let skeleton = Dominators.nontrivial dom in
   (* one budget spans both passes: the refinement pass only gets what the
      skeleton pass left over *)
-  let pass1 =
-    Telemetry.phase obs "advsat/pass1"
+  let pass name candidates =
+    Telemetry.phase obs name
       ~payload:(fun r -> List.length r.Bsat.solutions)
       (fun () ->
-        Bsat.diagnose ~candidates:skeleton ~force_zero:true ?max_solutions
-          ?time_limit ?budget ?certify ?jobs ~k c tests)
+        Bsat.diagnose ~candidates ~force_zero:true ?max_solutions ?budget
+          ?certify ?jobs ~k c tests)
   in
+  let pass1 = pass "advsat/pass1" skeleton in
   (* refine: multiplexers at every implicated dominator and everything it
      dominates *)
   let implicated =
@@ -46,39 +63,14 @@ let diagnose_dominators ?max_solutions ?time_limit ?budget ?obs ?certify ?jobs
     |> List.sort_uniq Int.compare
     |> List.filter (fun g -> not (Netlist.Circuit.is_input c g))
   in
-  let pass2, calls, cert_checks, cert_failures =
+  let passes =
     match implicated with
-    | [] ->
-        ( pass1,
-          pass1.Bsat.solver_calls,
-          pass1.Bsat.cert_checks,
-          pass1.Bsat.cert_failures )
-    | _ ->
-        let p2 =
-          Telemetry.phase obs "advsat/pass2"
-            ~payload:(fun r -> List.length r.Bsat.solutions)
-            (fun () ->
-              Bsat.diagnose ~candidates:implicated ~force_zero:true
-                ?max_solutions ?time_limit ?budget ?certify ?jobs ~k c tests)
-        in
-        ( p2,
-          pass1.Bsat.solver_calls + p2.Bsat.solver_calls,
-          pass1.Bsat.cert_checks + p2.Bsat.cert_checks,
-          pass1.Bsat.cert_failures @ p2.Bsat.cert_failures )
+    | [] -> [ pass1 ]
+    | _ -> [ pass1; pass "advsat/pass2" implicated ]
   in
-  let r =
-    {
-      solutions = pass2.Bsat.solutions;
-      pass1_solutions = pass1.Bsat.solutions;
-      total_time = Sys.time () -. t0;
-      truncated = pass1.Bsat.truncated || pass2.Bsat.truncated;
-      stats = pass2.Bsat.stats;
-      cert_checks;
-      cert_failures;
-    }
-  in
-  record obs "advsat/dominators" ~solver_calls:calls r;
-  r
+  let final = List.nth passes (List.length passes - 1) in
+  finish obs "advsat/dominators" ~t0 ~solutions:final.Bsat.solutions ~final
+    passes
 
 let chunks n xs =
   let rec go acc cur count = function
@@ -89,75 +81,47 @@ let chunks n xs =
   in
   go [] [] 0 xs
 
-let diagnose_partitioned ?(slice = 8) ?max_solutions ?time_limit ?budget ?obs
+let diagnose_partitioned ?(slice = 8) ?max_solutions ?budget ?obs
     ?certify ?jobs ~k c tests =
-  let t0 = Sys.time () in
-  let slices = chunks slice tests in
-  match slices with
+  let t0 = Obs.Clock.wall () in
+  match chunks slice tests with
   | [] ->
       {
         solutions = [];
         pass1_solutions = [];
         total_time = 0.0;
         truncated = false;
-        stats = Sat.Solver.stats (Sat.Solver.create ());
+        stats = Sat.Solver.zero_stats;
         cert_checks = 0;
         cert_failures = [];
       }
   | first :: rest ->
-      let truncated = ref false in
-      let calls = ref 0 in
-      let cert_checks = ref 0 in
-      let cert_failures = ref [] in
-      let note (r : Bsat.result) =
-        if r.Bsat.truncated then truncated := true;
-        calls := !calls + r.Bsat.solver_calls;
-        cert_checks := !cert_checks + r.Bsat.cert_checks;
-        cert_failures := !cert_failures @ r.Bsat.cert_failures;
-        r
-      in
-      let slice_phase f =
-        Telemetry.phase obs "advsat/slice"
-          ~payload:(fun r -> List.length r.Bsat.solutions)
-          f
-      in
-      let r0 =
-        note
-          (slice_phase (fun () ->
-               Bsat.diagnose ~force_zero:true ?max_solutions ?time_limit
-                 ?budget ?certify ?jobs ~k c first))
-      in
-      let narrow result next_tests =
-        let cands =
-          List.concat result.Bsat.solutions |> List.sort_uniq Int.compare
+      let passes = ref [] in
+      let solve ?candidates slice_tests =
+        let r =
+          Telemetry.phase obs "advsat/slice"
+            ~payload:(fun r -> List.length r.Bsat.solutions)
+            (fun () ->
+              Bsat.diagnose ?candidates ~force_zero:true ?max_solutions
+                ?budget ?certify ?jobs ~k c slice_tests)
         in
-        match cands with
-        | [] -> result
-        | _ ->
-            note
-              (slice_phase (fun () ->
-                   Bsat.diagnose ~candidates:cands ~force_zero:true
-                     ?max_solutions ?time_limit ?budget ?certify ?jobs ~k c
-                     next_tests))
+        passes := r :: !passes;
+        r
       in
       (* each slice shrinks the candidate pool; solve the next slice over
          the survivors only *)
-      let final = List.fold_left narrow r0 rest in
+      let narrow result next_tests =
+        match
+          List.concat result.Bsat.solutions |> List.sort_uniq Int.compare
+        with
+        | [] -> result
+        | cands -> solve ~candidates:cands next_tests
+      in
+      let final = List.fold_left narrow (solve first) rest in
       (* validate survivors against the complete test set *)
       let solutions =
         List.filter (fun sol -> Validity.check_sat c tests sol)
           final.Bsat.solutions
       in
-      let r =
-        {
-          solutions;
-          pass1_solutions = r0.Bsat.solutions;
-          total_time = Sys.time () -. t0;
-          truncated = !truncated;
-          stats = final.Bsat.stats;
-          cert_checks = !cert_checks;
-          cert_failures = !cert_failures;
-        }
-      in
-      record obs "advsat/partitioned" ~solver_calls:!calls r;
-      r
+      finish obs "advsat/partitioned" ~t0 ~solutions ~final
+        (List.rev !passes)

@@ -23,7 +23,7 @@ type result = {
   pass1_solutions : int list list; (** coarse (dominator / first-slice) *)
   total_time : float;
   truncated : bool;
-      (** any underlying pass hit its budget or limit; the reported
+      (** any underlying pass hit its budget or solution cap; the reported
           solutions are still individually valid *)
   stats : Sat.Solver.stats;        (** from the final pass *)
   cert_checks : int;
@@ -34,7 +34,6 @@ type result = {
 
 val diagnose_dominators :
   ?max_solutions:int ->
-  ?time_limit:float ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?certify:bool ->
@@ -54,7 +53,6 @@ val diagnose_dominators :
 val diagnose_partitioned :
   ?slice:int ->
   ?max_solutions:int ->
-  ?time_limit:float ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?certify:bool ->

@@ -6,18 +6,20 @@ type result = {
   truncated : bool;
 }
 
-let diagnose ?tie_break ?(max_solutions = max_int) ?(time_limit = infinity)
-    ~k c tests =
-  let t0 = Sys.time () in
+let diagnose ?tie_break ?(max_solutions = max_int) ?budget ~k c tests =
+  let exhausted () =
+    Option.fold ~none:false ~some:Sat.Budget.exhausted budget
+  in
+  let t0 = Obs.Clock.wall () in
   let bsim = Bsim.diagnose ?tie_break c tests in
-  let sim_time = Sys.time () -. t0 in
+  let sim_time = Obs.Clock.wall () -. t0 in
   let tests_arr = Array.of_list tests in
   let sets = bsim.Bsim.candidate_sets in
   let marks = bsim.Bsim.marks in
   let by_marks gs =
     List.sort (fun a b -> compare (marks.(b), a) (marks.(a), b)) gs
   in
-  let start = Sys.time () in
+  let start = Obs.Clock.wall () in
   let visited = Hashtbl.create 256 in
   let solutions = ref [] in
   let truncated = ref false in
@@ -40,9 +42,7 @@ let diagnose ?tie_break ?(max_solutions = max_int) ?(time_limit = infinity)
       (List.init (Array.length tests_arr) Fun.id)
   in
   let rec go chosen =
-    if List.length !solutions >= max_solutions
-       || Sys.time () -. start > time_limit
-    then begin
+    if List.length !solutions >= max_solutions || exhausted () then begin
       truncated := true;
       raise Budget
     end;
@@ -77,6 +77,6 @@ let diagnose ?tie_break ?(max_solutions = max_int) ?(time_limit = infinity)
     bsim;
     solutions = essential_only;
     sim_time;
-    search_time = Sys.time () -. start;
+    search_time = Obs.Clock.wall () -. start;
     truncated = !truncated;
   }

@@ -21,8 +21,13 @@ type result = {
 val diagnose :
   ?tie_break:Path_trace.tie_break ->
   ?max_solutions:int ->
-  ?time_limit:float ->
+  ?budget:Sat.Budget.t ->
   k:int ->
   Netlist.Circuit.t ->
   Sim.Testgen.test list ->
   result
+(** [budget] bounds the backtrack search: every node checks
+    {!Sat.Budget.exhausted}.  The search makes no solver calls, so
+    nothing charges the conflict and propagation allowances; in practice
+    the wall-clock deadline is what runs out.  On exhaustion the result
+    is [truncated] and holds the corrections found so far. *)

@@ -11,12 +11,15 @@ type result = {
   solutions : int list list;
       (** essential valid corrections, each sorted, in canonical
           (cardinality, then lexicographic) order ({!Solutions}) *)
-  cnf_time : float;           (** instance construction (paper "CNF") *)
+  cnf_time : float;
+      (** instance construction (paper "CNF"); this and the two times
+          below are wall-clock seconds ({!Obs.Clock.wall}) at every
+          [jobs] width *)
   one_time : float;           (** time to the first solution (paper "One") *)
   all_time : float;           (** full enumeration time (paper "All") *)
   truncated : bool;
-      (** hit [max_solutions], [time_limit] or the solver budget; the
-          enumerated prefix is still sound (every solution valid) *)
+      (** hit [max_solutions] or the solver budget; the enumerated
+          prefix is still sound (every solution valid) *)
   solver_calls : int;         (** SAT oracle invocations *)
   stats : Sat.Solver.stats;   (** solver counters, for the hybrid ablation *)
   cert_checks : int;
@@ -53,7 +56,6 @@ val diagnose :
   ?hints:hints ->
   ?strategy:strategy ->
   ?max_solutions:int ->
-  ?time_limit:float ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?obs_prefix:string ->
@@ -79,32 +81,33 @@ val diagnose :
     [jobs] (default 1) enumerates with a portfolio of that many
     independent solvers on their own domains: the solution space is
     split into disjoint cubes over the first ⌈log2 jobs⌉ candidate
-    select lines, workers enumerate their cubes with the sequential
-    algorithm, charge one shared (atomic) [budget], and the merged
-    solution list — union, filtered to inclusion-minimal sets, in
-    canonical order — equals the [jobs = 1] list exactly whenever the
-    enumeration is not truncated.  Under truncation ([max_solutions],
-    [time_limit] or budget exhaustion) the portfolio still returns a
-    sound subset of the essential solutions — workers report the deepest
-    cardinality level they enumerated to completion and the merge keeps
-    only solutions one above the *minimum* such level, so a correction
-    whose smaller dominator was lost to the budget in another worker's
-    cube can never slip through — but which subset (possibly fewer
-    solutions than the sequential run found, even none) depends on the
-    parallel schedule.  [Minimize_single_pass] matches the sequential
-    caveat instead: a shrink abandoned mid-way by the budget may leave a
-    valid but non-essential correction.  Solver counters ([stats], the [obs]
-    counters) are summed across workers and genuinely differ from the
-    sequential run; worker event streams are merged into [obs] tagged
-    with their domain id.
+    select lines, workers run {!Enumerate} on their cubes, charge one
+    shared (atomic) [budget], and the merged solution list — union,
+    filtered to inclusion-minimal sets, in canonical order — equals the
+    [jobs = 1] list exactly whenever the enumeration is not truncated.
+    [jobs = 1] is the same code with one worker and one empty cube.
+    Under truncation ([max_solutions] or budget exhaustion) the
+    portfolio still returns a sound subset of the essential solutions —
+    workers report the deepest cardinality level they enumerated to
+    completion and the merge keeps only solutions one above the
+    *minimum* such level, so a correction whose smaller dominator was
+    lost to the budget in another worker's cube can never slip through
+    — but which subset (possibly fewer solutions than the one-worker
+    run found, even none) depends on the parallel schedule.
+    [Minimize_single_pass] matches the one-worker caveat instead: a
+    shrink abandoned mid-way by the budget may leave a valid but
+    non-essential correction.  Solver counters ([stats], the [obs]
+    counters) are summed across workers and genuinely differ between
+    widths; worker event streams are merged into [obs] tagged with
+    their domain id (a single worker records into [obs] directly).
 
-    [budget] caps total solver effort across the whole enumeration —
-    unlike [time_limit] (checked only between solver calls) it is
-    enforced *inside* the CDCL loop, so a single hard call cannot
-    overshoot it unboundedly.  On exhaustion the result is flagged
-    [truncated] and contains the solutions found so far (each one still
-    a valid correction).  Conflict/propagation budgets are deterministic
-    under a fixed seed.
+    [budget] is the only bound besides [max_solutions]: it caps total
+    solver effort across the whole enumeration and is enforced *inside*
+    the CDCL loop, so a single hard call cannot overshoot it
+    unboundedly.  On exhaustion the result is flagged [truncated] and
+    contains the solutions found so far (each one still a valid
+    correction).  Conflict/propagation budgets are deterministic under
+    a fixed seed.
 
     [obs] records the run under ["<obs_prefix>/..."] counters and spans
     (default prefix ["bsat"]), brackets instance construction and the

@@ -35,8 +35,9 @@ let irredundant_core solution sets =
 
 (* One worker's covering instance: variables over the sorted union,
    one clause per candidate set, a cardinality counter.  Every worker of
-   a parallel enumeration builds an identical instance. *)
-let build_cover_instance ~k sets =
+   a parallel enumeration builds an identical instance.  Returned with
+   its variables (the cube split) and its deepest level. *)
+let cover_instance ~k sets =
   let union =
     Array.fold_left
       (fun acc ci -> List.fold_left (fun a g -> g :: a) acc ci)
@@ -54,152 +55,73 @@ let build_cover_instance ~k sets =
       e.Encode.Emit.clause
         (List.map (fun g -> Lit.pos vars.(Hashtbl.find index g)) ci))
     sets;
+  let bound = min k (Array.length union) in
   let counter =
     Encode.Cardinality.encode_at_most e
       ~lits:(Array.to_list (Array.map Lit.pos vars))
-      ~max_bound:(min k (Array.length union))
+      ~max_bound:bound
   in
-  (union, index, solver, vars, counter)
+  let solution () =
+    let sol = ref [] in
+    Array.iteri
+      (fun j v -> if Sat.Solver.value solver v then sol := union.(j) :: !sol)
+      vars;
+    (* The model is a cover but nothing forces it to be minimal: the
+       cardinality bound admits gratuitously-true variables.  Reduce to
+       an irredundant core before recording/blocking so the enumerated
+       space matches the backtrack oracle's (condition (b) of Fig. 4);
+       blocking the core also blocks every redundant superset, so the
+       level still terminates. *)
+    irredundant_core (List.sort Int.compare !sol) sets
+  in
+  let block sol =
+    Sat.Solver.add_clause solver
+      (List.map (fun g -> Lit.negate (Lit.pos vars.(Hashtbl.find index g))) sol)
+  in
+  let solve ~budget ~extra i =
+    let assumptions = extra @ Encode.Cardinality.bound_assumption counter i in
+    Sat.Solver.solve_limited ~assumptions ~budget solver
+  in
+  ({ Enumerate.solve; solution; block }, Array.map Lit.pos vars, bound)
 
-(* Enumerate the irredundant covers reachable under [extra] assumptions,
-   blocking each recorded core; [record] returns false to stop early. *)
-let enumerate_cover_cubes ~k ~out_of_budget ~record (union, index, solver, vars, counter)
-    ~cubes sets =
-  let truncated = ref false in
-  let bound = min k (Array.length union) in
-  List.iter
-    (fun cube ->
-      for i = 1 to bound do
-        let continue_level = ref true in
-        while !continue_level do
-          if out_of_budget () then begin
-            truncated := true;
-            continue_level := false
-          end
-          else
-            let assumptions =
-              cube @ Encode.Cardinality.bound_assumption counter i
-            in
-            match Sat.Solver.solve ~assumptions solver with
-            | Sat.Solver.Unsat -> continue_level := false
-            | Sat.Solver.Sat ->
-                let sol = ref [] in
-                Array.iteri
-                  (fun j v ->
-                    if Sat.Solver.value solver v then sol := union.(j) :: !sol)
-                  vars;
-                (* The model is a cover but nothing forces it to be
-                   minimal: the cardinality bound admits gratuitously-true
-                   variables.  Reduce to an irredundant core before
-                   recording/blocking so the enumerated space matches the
-                   backtrack oracle's (condition (b) of Fig. 4); blocking
-                   the core also blocks every redundant superset, so the
-                   level still terminates. *)
-                let sol = irredundant_core (List.sort Int.compare !sol) sets in
-                record sol;
-                Sat.Solver.add_clause solver
-                  (List.map
-                     (fun g -> Lit.negate (Lit.pos vars.(Hashtbl.find index g)))
-                     sol)
-        done
-      done)
-    cubes;
-  !truncated
-
-let enumerate_sat ?(jobs = 1) ~max_solutions ~time_limit ~k sets =
+(* Fig. 3's level loop on the covering instance, over a cube partition
+   of the first union variables ({!Enumerate.cubes}); [jobs = 1] is one
+   worker with the one empty cube.  Irredundant covers of a monotone
+   covering problem form an antichain, so every recorded core is
+   globally irredundant wherever it is found, and the deduplicated
+   union over cubes is exactly the one-cube solution set. *)
+let enumerate_sat ~jobs ~max_solutions ~budget ~k sets =
   if covers [] sets then
     (* no sets to hit (m = 0): the empty cover is the unique irredundant
        solution, exactly as the backtrack engine reports it *)
     ([ [] ], 0.0, 0.0, false)
-  else if jobs = 1 then begin
-    let inst = build_cover_instance ~k sets in
-    let start = Sys.time () in
-    let solutions = ref [] in
-    let nsol = ref 0 in
-    let one_time = ref 0.0 in
-    let out_of_budget () =
-      !nsol >= max_solutions || Sys.time () -. start > time_limit
-    in
-    let record sol =
-      if !nsol = 0 then one_time := Sys.time () -. start;
-      solutions := sol :: !solutions;
-      incr nsol
-    in
-    let truncated =
-      enumerate_cover_cubes ~k ~out_of_budget ~record inst ~cubes:[ [] ] sets
-    in
-    (Solutions.canonical !solutions, !one_time, Sys.time () -. start, truncated)
-  end
   else begin
-    (* Cube partition over the first L union variables, cube [j] to
-       worker [j mod jobs].  Irredundant covers of a monotone covering
-       problem form an antichain, so every recorded core is globally
-       irredundant wherever it is found, and the deduplicated union over
-       cubes is exactly the sequential solution set.  Timed by the wall
-       clock: process CPU time sums over the worker domains. *)
     let start = Obs.Clock.wall () in
     let found = Atomic.make 0 in
-    let worker w =
-      let ((union, _, _, vars, _) as inst) = build_cover_instance ~k sets in
-      let l =
-        let rec fit l = if 1 lsl l >= jobs then l else fit (l + 1) in
-        min (fit 0) (Array.length union)
-      in
-      let ncubes = 1 lsl l in
-      let rec my_cubes j =
-        if j >= ncubes then []
-        else
-          List.init l (fun i ->
-              let lit = Lit.pos vars.(i) in
-              if j land (1 lsl i) <> 0 then lit else Lit.negate lit)
-          :: my_cubes (j + jobs)
-      in
-      let wstart = Obs.Clock.wall () in
-      let sols = ref [] in
-      let one_time = ref 0.0 in
-      let out_of_budget () =
-        Atomic.get found >= max_solutions
-        || Obs.Clock.wall () -. wstart > time_limit
-      in
-      let record sol =
-        if !sols = [] then one_time := Obs.Clock.wall () -. wstart;
-        sols := sol :: !sols;
-        Atomic.incr found
-      in
-      let truncated =
-        enumerate_cover_cubes ~k ~out_of_budget ~record inst ~cubes:(my_cubes w)
-          sets
-      in
-      (!sols, truncated, !one_time)
+    let r =
+      Par.run ~jobs (fun w ->
+          let inst, split, bound = cover_instance ~k sets in
+          Enumerate.cubes ~jobs ~worker:w split
+          |> List.map (fun extra ->
+                 Enumerate.levels ~extra ~found ~max_solutions ~budget
+                   ~k:bound inst)
+          |> Enumerate.concat ~k:bound)
+      |> Array.to_list |> Enumerate.concat ~k
     in
-    let results = Par.run ~jobs worker in
-    let merged =
-      Array.to_list results
-      |> List.concat_map (fun (sols, _, _) -> sols)
-      |> Solutions.canonical
-    in
-    let truncated =
-      Array.exists (fun (_, tr, _) -> tr) results
-      || List.length merged > max_solutions
-    in
-    let solutions =
-      if List.length merged > max_solutions then
-        List.filteri (fun i _ -> i < max_solutions) merged
-      else merged
-    in
-    let one_time =
-      Array.fold_left
-        (fun acc (sols, _, ot) -> if sols = [] then acc else Float.min acc ot)
-        infinity results
-    in
-    let one_time = if Float.is_finite one_time then one_time else 0.0 in
-    (solutions, one_time, Obs.Clock.wall () -. start, truncated)
+    let merged = Solutions.canonical r.Enumerate.found in
+    let over = List.length merged > max_solutions in
+    let first = r.Enumerate.first_at in
+    ( (if over then List.filteri (fun i _ -> i < max_solutions) merged
+       else merged),
+      (if Float.is_finite first then first -. start else 0.0),
+      Obs.Clock.wall () -. start,
+      over || r.Enumerate.truncated )
   end
 
 (* ---------- branch-and-bound oracle ---------- *)
 
-let enumerate_backtrack ~max_solutions ~time_limit ~k sets =
-  let start = Sys.time () in
+let enumerate_backtrack ~max_solutions ~budget ~k sets =
+  let start = Obs.Clock.wall () in
   let found = Hashtbl.create 64 in
   let solutions = ref [] in
   let one_time = ref 0.0 in
@@ -207,15 +129,14 @@ let enumerate_backtrack ~max_solutions ~time_limit ~k sets =
   let record sol =
     let key = List.sort Int.compare sol in
     if (not (Hashtbl.mem found key)) && irredundant key sets then begin
-      if Hashtbl.length found = 0 then one_time := Sys.time () -. start;
+      if Hashtbl.length found = 0 then one_time := Obs.Clock.wall () -. start;
       Hashtbl.add found key ();
       solutions := key :: !solutions
     end
   in
   let exception Budget in
   let rec go chosen =
-    if Hashtbl.length found >= max_solutions
-       || Sys.time () -. start > time_limit
+    if Hashtbl.length found >= max_solutions || Sat.Budget.exhausted budget
     then begin
       truncated := true;
       raise Budget
@@ -241,20 +162,24 @@ let enumerate_backtrack ~max_solutions ~time_limit ~k sets =
           smallest
   in
   (try go [] with Budget -> ());
-  (Solutions.canonical !solutions, !one_time, Sys.time () -. start, !truncated)
+  (Solutions.canonical !solutions, !one_time, Obs.Clock.wall () -. start,
+   !truncated)
+
+let run_engine ~engine ~jobs ~max_solutions ~budget ~k sets =
+  match engine with
+  | Sat_engine -> enumerate_sat ~jobs ~max_solutions ~budget ~k sets
+  | Backtrack_engine -> enumerate_backtrack ~max_solutions ~budget ~k sets
 
 let enumerate ?(engine = Sat_engine) ?(max_solutions = max_int)
-    ?(time_limit = infinity) ?(jobs = 1) ~k sets =
+    ?(budget = Sat.Budget.unlimited ()) ?(jobs = 1) ~k sets =
   let jobs = Par.clamp_jobs jobs in
   let solutions, _, _, truncated =
-    match engine with
-    | Sat_engine -> enumerate_sat ~jobs ~max_solutions ~time_limit ~k sets
-    | Backtrack_engine -> enumerate_backtrack ~max_solutions ~time_limit ~k sets
+    run_engine ~engine ~jobs ~max_solutions ~budget ~k sets
   in
   (solutions, truncated)
 
 let diagnose ?(engine = Sat_engine) ?tie_break ?(max_solutions = max_int)
-    ?(time_limit = infinity) ?obs ?(jobs = 1) ~k c tests =
+    ?(budget = Sat.Budget.unlimited ()) ?obs ?(jobs = 1) ~k c tests =
   let jobs = Par.clamp_jobs jobs in
   let t0 = Obs.Clock.wall () in
   let bsim = Bsim.diagnose ?tie_break ?obs ~jobs c tests in
@@ -263,11 +188,7 @@ let diagnose ?(engine = Sat_engine) ?tie_break ?(max_solutions = max_int)
   let solutions, one_time, all_time, truncated =
     Telemetry.phase obs "cov/enumerate"
       ~payload:(fun (sols, _, _, _) -> List.length sols)
-      (fun () ->
-        match engine with
-        | Sat_engine -> enumerate_sat ~jobs ~max_solutions ~time_limit ~k sets
-        | Backtrack_engine ->
-            enumerate_backtrack ~max_solutions ~time_limit ~k sets)
+      (fun () -> run_engine ~engine ~jobs ~max_solutions ~budget ~k sets)
   in
   (match obs with
   | None -> ()

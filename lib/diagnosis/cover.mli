@@ -17,22 +17,20 @@ type engine = Sat_engine | Backtrack_engine
 type result = {
   bsim : Bsim.result;        (** the underlying BSIM run *)
   solutions : int list list; (** irredundant covers, each sorted *)
-  cnf_time : float;
-      (** BSIM + instance construction (paper "CNF"), wall clock *)
+  cnf_time : float;          (** the BSIM run (paper "CNF"), wall clock *)
   one_time : float;
-      (** time to the first solution (paper "One"); wall clock when
-          [jobs > 1], process CPU time otherwise *)
-  all_time : float;
-      (** time to enumerate all (paper "All"); wall clock when
-          [jobs > 1], process CPU time otherwise *)
-  truncated : bool;          (** hit [max_solutions] or [time_limit] *)
+      (** time to the first solution (paper "One"), wall clock, from the
+          start of the covering stage (covering-instance construction
+          included, as in [all_time]) *)
+  all_time : float;          (** time to enumerate all (paper "All") *)
+  truncated : bool;          (** hit [max_solutions] or the budget *)
 }
 
 val diagnose :
   ?engine:engine ->
   ?tie_break:Path_trace.tie_break ->
   ?max_solutions:int ->
-  ?time_limit:float ->
+  ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?jobs:int ->
   k:int ->
@@ -44,11 +42,16 @@ val diagnose :
     payload = solution count), a ["cov/solution_size"] histogram and the
     ["cov/solutions"]/["cov/truncated"] counters.
 
+    [budget] bounds the covering enumeration: the SAT engine charges it
+    inside every solver call, the backtrack engine checks
+    {!Sat.Budget.exhausted} at every search node.  On exhaustion the
+    result is [truncated] and holds the covers found so far.
+
     [jobs] (default 1) parallelizes both the path tracing and the SAT
     covering enumeration (cube partition over the first union
-    variables).  Irredundant covers form an antichain, so the merged,
-    deduplicated union over cubes is exactly the sequential solution
-    set; because every [obs] datum of the covering stage is derived from
+    variables; [jobs = 1] is the one-cube case).  Irredundant covers
+    form an antichain, so the merged, deduplicated union over cubes is
+    exactly the one-cube solution set; because every [obs] datum of the covering stage is derived from
     the final canonical solution list, the whole stats block is
     bit-identical to [jobs = 1] whenever the enumeration is not
     truncated.  The backtrack oracle engine always runs sequentially. *)
@@ -59,7 +62,7 @@ val covers : int list -> int list array -> bool
 val enumerate :
   ?engine:engine ->
   ?max_solutions:int ->
-  ?time_limit:float ->
+  ?budget:Sat.Budget.t ->
   ?jobs:int ->
   k:int ->
   int list array ->

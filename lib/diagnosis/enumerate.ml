@@ -1,0 +1,127 @@
+type run = {
+  found : int list list;
+  calls : int;
+  completed : int;
+  truncated : bool;
+  first_at : float;
+}
+
+type instance = {
+  solve :
+    budget:Sat.Budget.t -> extra:Sat.Lit.t list -> int ->
+    Sat.Solver.limited_result;
+  solution : unit -> int list;
+  block : int list -> unit;
+}
+
+let muxed ?unless inst =
+  {
+    solve =
+      (fun ~budget ~extra i ->
+        Encode.Muxed.solve_at_most_limited ~extra ~budget inst i);
+    solution = (fun () -> Encode.Muxed.solution inst);
+    block = Encode.Muxed.block ?unless inst;
+  }
+
+let cubes ~jobs ~worker split =
+  let l =
+    let rec fit l = if 1 lsl l >= jobs then l else fit (l + 1) in
+    min (fit 0) (Array.length split)
+  in
+  List.init (1 lsl l) Fun.id
+  |> List.filter (fun j -> j mod jobs = worker)
+  |> List.map (fun j ->
+         List.init l (fun i ->
+             if j land (1 lsl i) <> 0 then split.(i)
+             else Sat.Lit.negate split.(i)))
+
+let concat ~k runs =
+  {
+    found = List.concat_map (fun r -> r.found) runs;
+    calls = List.fold_left (fun acc r -> acc + r.calls) 0 runs;
+    completed = List.fold_left (fun acc r -> min acc r.completed) k runs;
+    truncated = List.exists (fun r -> r.truncated) runs;
+    first_at =
+      List.fold_left (fun acc r -> Float.min acc r.first_at) infinity runs;
+  }
+
+(* Fig. 3's loop: [minimise] turns each model's solution into the set
+   recorded and blocked; [None] ends the run as truncated *)
+let run_levels ~extra ~first ~minimise ~found ~max_solutions ~budget ~k inst =
+  let sols = ref [] and calls = ref 0 and first_at = ref infinity in
+  let count () = incr calls in
+  let finish completed truncated =
+    { found = List.rev !sols; calls = !calls; completed; truncated;
+      first_at = !first_at }
+  in
+  let rec level i =
+    if i > k then finish k false
+    else if Atomic.get found >= max_solutions || Sat.Budget.exhausted budget
+    then finish (i - 1) true
+    else begin
+      count ();
+      match inst.solve ~budget ~extra i with
+      | Sat.Solver.Solved Sat.Solver.Unsat -> level (i + 1)
+      | Sat.Solver.Unknown -> finish (i - 1) true
+      | Sat.Solver.Solved Sat.Solver.Sat -> (
+          match minimise ~count (inst.solution ()) with
+          | None -> finish (i - 1) true
+          | Some sol ->
+              if !sols = [] then first_at := Obs.Clock.wall ();
+              sols := sol :: !sols;
+              Atomic.incr found;
+              inst.block sol;
+              level i)
+    end
+  in
+  level first
+
+let levels ?(extra = []) ?(first = 1) ~found ~max_solutions ~budget ~k inst =
+  run_levels ~extra ~first
+    ~minimise:(fun ~count:_ sol -> Some sol)
+    ~found ~max_solutions ~budget ~k inst
+
+(* Deletion shrink inside the instance: candidate gates outside the set
+   are pinned off, members are dropped one at a time while the instance
+   stays satisfiable under the set's size.  [Error] carries the partial
+   set when the budget ends the shrink. *)
+let shrink ~budget ~count inst sol =
+  let all_candidates = Array.to_list (Encode.Muxed.candidate_gates inst) in
+  let rec drop kept_rev = function
+    | [] -> Ok (List.sort Int.compare (List.rev kept_rev))
+    | g :: rest -> (
+        (* same membership order as the quadratic kept @ rest original:
+           tie-break order must not change *)
+        let candidate = List.rev_append kept_rev rest in
+        let in_candidate = Hashtbl.create 16 in
+        List.iter (fun h -> Hashtbl.replace in_candidate h ()) candidate;
+        let extra =
+          List.map (Encode.Muxed.select_lit inst) candidate
+          @ List.filter_map
+              (fun h ->
+                if Hashtbl.mem in_candidate h then None
+                else Some (Sat.Lit.negate (Encode.Muxed.select_lit inst h)))
+              all_candidates
+        in
+        count ();
+        match
+          Encode.Muxed.solve_at_most_limited ~extra ~budget inst
+            (List.length candidate)
+        with
+        | Sat.Solver.Solved Sat.Solver.Sat -> drop kept_rev rest
+        | Sat.Solver.Solved Sat.Solver.Unsat -> drop (g :: kept_rev) rest
+        | Sat.Solver.Unknown ->
+            Error
+              (List.sort Int.compare (List.rev_append kept_rev (g :: rest))))
+  in
+  drop [] sol
+
+(* the level loop pinned at level [k], each model shrunk *)
+let single_pass ?(extra = []) ?(keep_cut = true) ~found ~max_solutions ~budget
+    ~k inst =
+  run_levels ~extra ~first:k
+    ~minimise:(fun ~count sol ->
+      match shrink ~budget ~count inst sol with
+      | Ok sol -> Some sol
+      | Error sol -> if keep_cut then Some sol else None)
+    ~found ~max_solutions ~budget ~k (muxed inst)

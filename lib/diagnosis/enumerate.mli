@@ -1,0 +1,80 @@
+(** The enumeration kernel shared by the SAT-side engines.
+
+    {!levels} is BasicSATDiagnose (paper Figure 3): the cardinality
+    limit is raised level by level and every solution is blocked before
+    the next call, so the found sets are exactly the essential
+    solutions of the instance (Lemmas 1 and 3).  {!Bsat} runs it once
+    per portfolio cube, {!Incremental} under an activation guard,
+    {!Seq_diag} on the unrolled machine and {!Cover} on the covering
+    instance; {!single_pass} adds the one deletion shrink of a
+    correction ({!Bsat}, {!Hitting}).
+
+    Every loop stops before a solver call once the shared [found]
+    counter reaches [max_solutions] or [budget] is exhausted, and after
+    a call the budget cut short; either way the run is truncated and
+    every found set is still a solution. *)
+
+type run = {
+  found : int list list;  (** in discovery order *)
+  calls : int;  (** solver calls, shrink steps included *)
+  completed : int;
+      (** deepest level enumerated to [Unsat] ([first - 1] when none) *)
+  truncated : bool;
+  first_at : float;
+      (** {!Obs.Clock.wall} time of the first solution, [infinity] when
+          none was found *)
+}
+
+(** What {!levels} needs of an instance. *)
+type instance = {
+  solve :
+    budget:Sat.Budget.t -> extra:Sat.Lit.t list -> int ->
+    Sat.Solver.limited_result;
+      (** solve under "at most [n] selected" plus [extra] assumptions *)
+  solution : unit -> int list;  (** after [Sat]: the solution, sorted *)
+  block : int list -> unit;  (** exclude the solution and its supersets *)
+}
+
+val muxed : ?unless:Sat.Lit.t -> Encode.Muxed.t -> instance
+(** The diagnosis instance; blocking clauses carry the activation guard
+    [unless] ({!Encode.Muxed.block}). *)
+
+val cubes : jobs:int -> worker:int -> Sat.Lit.t array -> Sat.Lit.t list list
+(** The portfolio partition: the first L = ⌈log2 jobs⌉ [split] literals
+    (fewer when there are fewer) take each of their 2^L sign patterns,
+    and cube [j] belongs to worker [j mod jobs].  Returns the cubes of
+    [worker] in increasing [j]; [jobs = 1] owns the one empty cube. *)
+
+val concat : k:int -> run list -> run
+(** Several runs as one: found sets and calls added up, the shallowest
+    [completed] (at most [k]), the earliest [first_at]. *)
+
+val levels :
+  ?extra:Sat.Lit.t list ->
+  ?first:int ->
+  found:int Atomic.t ->
+  max_solutions:int ->
+  budget:Sat.Budget.t ->
+  k:int ->
+  instance ->
+  run
+(** Levels [first] (default 1) to [k] under [extra] assumptions (a
+    portfolio cube, an activation literal); [found] may be shared with
+    other domains. *)
+
+val single_pass :
+  ?extra:Sat.Lit.t list ->
+  ?keep_cut:bool ->
+  found:int Atomic.t ->
+  max_solutions:int ->
+  budget:Sat.Budget.t ->
+  k:int ->
+  Encode.Muxed.t ->
+  run
+(** The level loop pinned at limit [k]: each model's select set is
+    deletion-shrunk inside the instance (candidates outside it pinned
+    off, members dropped one at a time while it stays satisfiable),
+    then blocked.  A set whose shrink the budget cut short — valid,
+    possibly not essential — is kept with [keep_cut] (default true);
+    with [false] the pass stops without it.  An untruncated pass ends
+    on an [Unsat] call, whose failed-assumption core stays readable. *)

@@ -53,7 +53,6 @@ val diagnose :
   ?force_zero:bool ->
   ?heuristic:heuristic ->
   ?max_solutions:int ->
-  ?time_limit:float ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?obs_prefix:string ->
@@ -68,12 +67,11 @@ val diagnose :
     [obs_prefix = "hitting"].
 
     [budget] caps total solver effort across every node check, core
-    shrink and diagnosis shrink; on exhaustion (or [max_solutions] /
-    [time_limit]) the run stops with [truncated = true] and the
-    solutions recorded so far — each still a genuine minimal diagnosis,
-    so the truncated list is a subset of the full run's.  A diagnosis
-    whose minimization was cut off mid-shrink is discarded rather than
-    returned non-minimal.
+    shrink and diagnosis shrink; on exhaustion (or at [max_solutions])
+    the run stops with [truncated = true] and the solutions recorded so
+    far — each still a genuine minimal diagnosis, so the truncated list
+    is a subset of the full run's.  A diagnosis whose minimization was
+    cut off mid-shrink is discarded rather than returned non-minimal.
 
     [jobs > 1] checks open nodes in parallel rounds over {!Par}, one
     solver and encoding per worker domain, with a deterministic

@@ -7,7 +7,7 @@ type guided_result = {
   truncated : bool;
 }
 
-let guided ?max_solutions ?time_limit ?budget ?obs ?jobs ~k c tests =
+let guided ?max_solutions ?budget ?obs ?jobs ~k c tests =
   let bsim = Bsim.diagnose ?jobs c tests in
   let hints =
     {
@@ -22,11 +22,11 @@ let guided ?max_solutions ?time_limit ?budget ?obs ?jobs ~k c tests =
      allowance, so the plain run burns a clone of the budget *)
   let plain_budget = Option.map Sat.Budget.clone budget in
   let plain =
-    Bsat.diagnose ?max_solutions ?time_limit ?budget:plain_budget ?obs
+    Bsat.diagnose ?max_solutions ?budget:plain_budget ?obs
       ?jobs ~obs_prefix:"hybrid/plain" ~k c tests
   in
   let guided =
-    Bsat.diagnose ~hints ?max_solutions ?time_limit ?budget ?obs ?jobs
+    Bsat.diagnose ~hints ?max_solutions ?budget ?obs ?jobs
       ~obs_prefix:"hybrid/guided" ~k c tests
   in
   {
@@ -53,14 +53,12 @@ type repair_outcome = {
   cert_failures : string list;
 }
 
-let repair ?marks ?budget ?obs ?(certify = false) ?jobs ~k ~seed c tests =
+let repair ?marks ?(budget = Sat.Budget.unlimited ()) ?obs ?(certify = false)
+    ?jobs ~k ~seed c tests =
   Telemetry.phase obs "hybrid/repair"
     ~payload:(fun r ->
       match r.repaired with None -> 0 | Some r -> List.length r.correction)
   @@ fun () ->
-  let budget =
-    match budget with Some b -> b | None -> Sat.Budget.unlimited ()
-  in
   let marks =
     match marks with
     | Some m -> m

@@ -18,12 +18,11 @@ type guided_result = {
   guided_stats : Sat.Solver.stats;
   plain_time : float;
   guided_time : float;
-  truncated : bool;  (** either run hit its budget or limit *)
+  truncated : bool;  (** either run hit its budget or solution cap *)
 }
 
 val guided :
   ?max_solutions:int ->
-  ?time_limit:float ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?jobs:int ->

@@ -18,6 +18,7 @@ type t = {
   mutable carried : (int list list * int) option;
   mutable reused : int;
   mutable revalidated : int;
+  mutable solver_calls : int;
 }
 
 let create ?force_zero ?obs ?(certify = false) ~k c tests =
@@ -43,6 +44,7 @@ let create ?force_zero ?obs ?(certify = false) ~k c tests =
     carried = None;
     reused = 0;
     revalidated = 0;
+    solver_calls = 0;
   }
 
 let check_live t ~what =
@@ -99,8 +101,7 @@ let carry t ~max_solutions ~budget =
   let scratch = ([], 1) in
   match t.carried with
   | None -> scratch
-  | Some _ when Option.fold ~none:false ~some:Sat.Budget.exhausted budget ->
-      scratch
+  | Some _ when Sat.Budget.exhausted budget -> scratch
   | Some (sols, _) when List.length sols >= max_solutions -> scratch
   | Some (sols, n) when n = num_tests t -> (sols, t.k + 1)
   (* growth: a certified context re-proves every answer on the full
@@ -122,11 +123,12 @@ let carry t ~max_solutions ~budget =
    portfolio solves the accumulated workload on fresh per-worker
    instances ({!Bsat.diagnose}) and leaves the live instance untouched —
    the enumerated set is the same, the learned-clause reuse is not. *)
-let solutions_portfolio ~max_solutions ?budget ~jobs t =
+let solutions_portfolio ~max_solutions ~budget ~jobs t =
   let r =
-    Bsat.diagnose ?force_zero:t.force_zero ~max_solutions ?budget
+    Bsat.diagnose ?force_zero:t.force_zero ~max_solutions ~budget
       ~certify:t.certify ~jobs ~k:t.k t.circuit t.tests
   in
+  t.solver_calls <- t.solver_calls + r.Bsat.solver_calls;
   t.portfolio_checks <- t.portfolio_checks + r.Bsat.cert_checks;
   t.portfolio_failures <- t.portfolio_failures @ r.Bsat.cert_failures;
   (r.Bsat.solutions, r.Bsat.truncated)
@@ -138,59 +140,33 @@ let solutions_live ~max_solutions ~budget ~survivors ~first t =
      more tests arrived) starts from a clean solution space *)
   let active = Encode.Muxed.fresh_activation t.inst in
   List.iter (Encode.Muxed.block ~unless:active t.inst) survivors;
-  let solutions = ref [] in
-  let nsol = ref (List.length survivors) in
-  let truncated = ref false in
-  let stop = ref false in
-  for i = first to t.k do
-    let continue_level = ref (not !stop) in
-    while !continue_level do
-      if !nsol >= max_solutions || Sat.Budget.exhausted budget then begin
-        (* the cap counts as truncation, like Bsat's [out_of_budget] —
-           the jobs>1 portfolio path already reports it that way *)
-        truncated := true;
-        stop := true;
-        continue_level := false
-      end
-      else
-        match
-          Encode.Muxed.solve_at_most_limited ~extra:[ active ] ~budget t.inst i
-        with
-        | Sat.Solver.Solved Sat.Solver.Unsat -> continue_level := false
-        | Sat.Solver.Solved Sat.Solver.Sat ->
-            let sol = Encode.Muxed.solution t.inst in
-            solutions := sol :: !solutions;
-            incr nsol;
-            Encode.Muxed.block ~unless:active t.inst sol
-        | Sat.Solver.Unknown ->
-            truncated := true;
-            stop := true;
-            continue_level := false
-    done
-  done;
+  let r =
+    Enumerate.levels ~extra:[ active ] ~first
+      ~found:(Atomic.make (List.length survivors))
+      ~max_solutions ~budget ~k:t.k
+      (Enumerate.muxed ~unless:active t.inst)
+  in
   (* retire the guard permanently — through the instance's emit hook so
      the certification checker sees the unit clause too *)
   Encode.Muxed.assert_clause t.inst [ Sat.Lit.negate active ];
-  (Solutions.canonical (survivors @ !solutions), !truncated)
+  t.solver_calls <- t.solver_calls + r.Enumerate.calls;
+  (Solutions.canonical (survivors @ r.Enumerate.found), r.Enumerate.truncated)
 
-let solutions ?(max_solutions = max_int) ?budget ?(jobs = 1) t =
+let solutions ?(max_solutions = max_int) ?(budget = Sat.Budget.unlimited ())
+    ?(jobs = 1) t =
   check_live t ~what:"solutions";
   let jobs = Par.clamp_jobs jobs in
   let survivors, first = carry t ~max_solutions ~budget in
   let sols, truncated =
     if jobs > 1 && first <= t.k then
-      solutions_portfolio ~max_solutions ?budget ~jobs t
+      solutions_portfolio ~max_solutions ~budget ~jobs t
     else
       Telemetry.phase t.obs "incremental/solve"
         ~payload:(fun (s, _) -> List.length s)
       @@ fun () ->
       t.reused <- t.reused + List.length survivors;
       if first > t.k then (survivors, false)
-      else
-        let budget =
-          match budget with Some b -> b | None -> Sat.Budget.unlimited ()
-        in
-        solutions_live ~max_solutions ~budget ~survivors ~first t
+      else solutions_live ~max_solutions ~budget ~survivors ~first t
   in
   t.last_truncated <- truncated;
   if not truncated then t.carried <- Some (sols, num_tests t);
@@ -203,6 +179,8 @@ let stats t = Sat.Solver.stats t.solver
 let reused t = t.reused
 
 let revalidated t = t.revalidated
+
+let solver_calls t = t.solver_calls
 
 let cert_checks t = t.portfolio_checks + Encode.Muxed.cert_checks t.inst
 

@@ -122,6 +122,10 @@ val revalidated : t -> int
 (** Carried solutions re-checked by simulation against new tests over
     the context's lifetime. *)
 
+val solver_calls : t -> int
+(** Enumeration solver calls over the context's lifetime, portfolio
+    runs included. *)
+
 val cert_checks : t -> int
 (** With [certify]: answers verified over the instance's lifetime —
     live-instance checks plus any portfolio runs' checks (0 without

@@ -8,6 +8,7 @@ type result = {
   one_time : float;
   all_time : float;
   truncated : bool;
+  solver_calls : int;
 }
 
 let frames_of_tests tests =
@@ -47,9 +48,9 @@ let core_groups s (u : Sequential.unrolled) =
   |> List.map (fun g ->
          List.init u.Sequential.frames (fun f -> u.Sequential.gate_of ~frame:f g))
 
-let diagnose_bsat ?(max_solutions = max_int) ?(time_limit = infinity) ~k s
-    tests =
-  let t0 = Sys.time () in
+let diagnose_bsat ?(max_solutions = max_int)
+    ?(budget = Sat.Budget.unlimited ()) ~k s tests =
+  let t0 = Obs.Clock.wall () in
   let frames = frames_of_tests tests in
   let u = Sequential.unroll s ~frames in
   let comb_tests = List.map (to_comb_test s u) tests in
@@ -58,38 +59,22 @@ let diagnose_bsat ?(max_solutions = max_int) ?(time_limit = infinity) ~k s
     Encode.Muxed.build ~groups:(core_groups s u) ~force_zero:true ~max_k:k
       solver u.Sequential.circuit comb_tests
   in
-  let cnf_time = Sys.time () -. t0 in
-  let start = Sys.time () in
-  let solutions = ref [] in
-  let nsol = ref 0 in
-  let one_time = ref 0.0 in
-  let truncated = ref false in
-  for i = 1 to k do
-    let continue_level = ref true in
-    while !continue_level do
-      if !nsol >= max_solutions || Sys.time () -. start > time_limit then begin
-        truncated := true;
-        continue_level := false
-      end
-      else
-        match Encode.Muxed.solve_at_most inst i with
-        | Sat.Solver.Unsat -> continue_level := false
-        | Sat.Solver.Sat ->
-            (* group representatives are the frame-0 copies = core ids *)
-            let sol = Encode.Muxed.solution inst in
-            if !nsol = 0 then one_time := Sys.time () -. start;
-            solutions := sol :: !solutions;
-            incr nsol;
-            Encode.Muxed.block inst sol
-    done
-  done;
+  let cnf_time = Obs.Clock.wall () -. t0 in
+  let start = Obs.Clock.wall () in
+  (* group representatives are the frame-0 copies = core ids *)
+  let r =
+    Enumerate.levels ~found:(Atomic.make 0) ~max_solutions ~budget ~k
+      (Enumerate.muxed inst)
+  in
   {
-    solutions = List.rev !solutions;
+    solutions = r.Enumerate.found;
     frames;
     cnf_time;
-    one_time = !one_time;
-    all_time = Sys.time () -. start;
-    truncated = !truncated;
+    one_time =
+      (if r.Enumerate.found = [] then 0.0 else r.Enumerate.first_at -. start);
+    all_time = Obs.Clock.wall () -. start;
+    truncated = r.Enumerate.truncated;
+    solver_calls = r.Enumerate.calls;
   }
 
 (* Frame f>0 copies of state bits are Buf gates the tracer may mark; they
@@ -108,9 +93,9 @@ let bsim s tests =
   let r = Bsim.diagnose u.Sequential.circuit comb_tests in
   Array.map (fold_to_core s) r.Bsim.candidate_sets
 
-let diagnose_cov ?max_solutions ?time_limit ~k s tests =
+let diagnose_cov ?max_solutions ?budget ~k s tests =
   let sets = bsim s tests in
-  fst (Cover.enumerate ?max_solutions ?time_limit ~k sets)
+  fst (Cover.enumerate ?max_solutions ?budget ~k sets)
 
 type distinguishing =
   | Separating of bool array array

@@ -15,17 +15,21 @@ type result = {
   one_time : float;
   all_time : float;
   truncated : bool;
+  solver_calls : int;  (** SAT oracle invocations *)
 }
 
 val diagnose_bsat :
   ?max_solutions:int ->
-  ?time_limit:float ->
+  ?budget:Sat.Budget.t ->
   k:int ->
   Sim.Sequential.t ->
   Sim.Seq_testgen.test list ->
   result
-(** BSAT on the unrolled machine.  All tests must share one sequence
-    length.  @raise Invalid_argument otherwise or on an empty test list. *)
+(** BSAT on the unrolled machine ({!Enumerate.levels}); [budget] caps
+    the solver effort, and on exhaustion the result is [truncated] with
+    the corrections found so far, in discovery order.  All tests must
+    share one sequence length.
+    @raise Invalid_argument otherwise or on an empty test list. *)
 
 val bsim : Sim.Sequential.t -> Sim.Seq_testgen.test list -> int list array
 (** Sequential BSIM: path tracing on the unrolled machine, candidate
@@ -33,12 +37,13 @@ val bsim : Sim.Sequential.t -> Sim.Seq_testgen.test list -> int list array
 
 val diagnose_cov :
   ?max_solutions:int ->
-  ?time_limit:float ->
+  ?budget:Sat.Budget.t ->
   k:int ->
   Sim.Sequential.t ->
   Sim.Seq_testgen.test list ->
   int list list
-(** Sequential COV: set covering over the folded candidate sets. *)
+(** Sequential COV: set covering over the folded candidate sets,
+    bounded by [budget] ({!Cover.enumerate}). *)
 
 val check :
   Sim.Sequential.t -> Sim.Seq_testgen.test list -> int list -> bool

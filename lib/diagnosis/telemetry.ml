@@ -1,16 +1,7 @@
-let record_solver_stats obs ~prefix (st : Sat.Solver.stats) =
-  let field name v = Obs.add obs (prefix ^ "/" ^ name) v in
-  field "decisions" st.Sat.Solver.decisions;
-  field "propagations" st.Sat.Solver.propagations;
-  field "conflicts" st.Sat.Solver.conflicts;
-  field "restarts" st.Sat.Solver.restarts;
-  field "learned" st.Sat.Solver.learned;
-  field "learned_total" st.Sat.Solver.learned_total;
-  field "deleted" st.Sat.Solver.deleted;
-  field "subsumed" st.Sat.Solver.subsumed;
-  field "strengthened" st.Sat.Solver.strengthened;
-  field "vivified" st.Sat.Solver.vivified;
-  field "eliminated" st.Sat.Solver.eliminated
+let record_solver_stats obs ~prefix st =
+  List.iter
+    (fun (name, v) -> Obs.add obs (prefix ^ "/" ^ name) v)
+    (Sat.Solver.stats_fields st)
 
 let record_run obs ~prefix ~solutions ~solver_calls ~truncated
     (st : Sat.Solver.stats) =

@@ -241,8 +241,6 @@ end
 
 module Clock = struct
   let wall () = Unix.gettimeofday ()
-
-  let cpu () = Sys.time ()
 end
 
 type phase = Begin | End | Instant

@@ -41,17 +41,13 @@ module Json : sig
   (** Field lookup in an [Obj]; [None] otherwise. *)
 end
 
-(** Time sources.  Everything in this library that stamps wall-clock
-    time ({!span}, event ["ts"] fields) uses {!Clock.wall}; the process
-    CPU clock stays available as {!Clock.cpu} for callers that want it
-    explicitly. *)
+(** The one time source: {!span}, event ["ts"] fields, the engines'
+    reported times and budget deadlines all use {!Clock.wall}.  Process
+    CPU time sums over domains and freezes across waits, so it is never
+    reported as elapsed time. *)
 module Clock : sig
   val wall : unit -> float
   (** Wall-clock seconds since the epoch ([Unix.gettimeofday]). *)
-
-  val cpu : unit -> float
-  (** Process CPU seconds ([Sys.time]).  Insensitive to sleeps and
-      other processes; not a wall clock. *)
 end
 
 (** Event phase, after the Chrome [trace_event] vocabulary: a [Begin]/

@@ -58,6 +58,53 @@ type stats = {
   eliminated : int;
 }
 
+let zero_stats =
+  {
+    decisions = 0;
+    propagations = 0;
+    conflicts = 0;
+    restarts = 0;
+    learned = 0;
+    learned_total = 0;
+    deleted = 0;
+    subsumed = 0;
+    strengthened = 0;
+    vivified = 0;
+    eliminated = 0;
+  }
+
+let map2_stats f a b =
+  {
+    decisions = f a.decisions b.decisions;
+    propagations = f a.propagations b.propagations;
+    conflicts = f a.conflicts b.conflicts;
+    restarts = f a.restarts b.restarts;
+    learned = f a.learned b.learned;
+    learned_total = f a.learned_total b.learned_total;
+    deleted = f a.deleted b.deleted;
+    subsumed = f a.subsumed b.subsumed;
+    strengthened = f a.strengthened b.strengthened;
+    vivified = f a.vivified b.vivified;
+    eliminated = f a.eliminated b.eliminated;
+  }
+
+let add_stats = map2_stats ( + )
+
+let stats_fields st =
+  [
+    ("decisions", st.decisions);
+    ("propagations", st.propagations);
+    ("conflicts", st.conflicts);
+    ("restarts", st.restarts);
+    ("learned", st.learned);
+    ("learned_total", st.learned_total);
+    ("deleted", st.deleted);
+    ("subsumed", st.subsumed);
+    ("strengthened", st.strengthened);
+    ("vivified", st.vivified);
+    ("eliminated", st.eliminated);
+  ]
+
 (* histograms recording per-conflict effort shape; attached on demand *)
 type obs_hooks = {
   h_learnt_len : Obs.Histogram.h;

@@ -126,6 +126,19 @@ val stats : t -> stats
     this solver.  [learned] is a gauge (current DB size); the others are
     monotonic. *)
 
+val zero_stats : stats
+(** Every counter 0. *)
+
+val map2_stats : (int -> int -> int) -> stats -> stats -> stats
+(** Combine two counter snapshots field by field. *)
+
+val add_stats : stats -> stats -> stats
+(** Field-wise sum, for effort spread over several solvers (portfolio
+    workers, hitting-set workers); [learned] sums the gauges. *)
+
+val stats_fields : stats -> (string * int) list
+(** Every counter under its field name, in declaration order. *)
+
 val simplify : t -> unit
 (** Run one inprocessing pass at the root level: drop root-satisfied
     clauses, backward (self-)subsumption, bounded clause vivification

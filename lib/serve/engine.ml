@@ -12,20 +12,8 @@ type outcome = {
 (* per-request view of cumulative solver counters; [learned] is a gauge
    (clauses currently in the database), not a counter, so it is
    reported as-is *)
-let delta (a : Sat.Solver.stats) (b : Sat.Solver.stats) : Sat.Solver.stats =
-  {
-    Sat.Solver.decisions = b.Sat.Solver.decisions - a.Sat.Solver.decisions;
-    propagations = b.Sat.Solver.propagations - a.Sat.Solver.propagations;
-    conflicts = b.Sat.Solver.conflicts - a.Sat.Solver.conflicts;
-    restarts = b.Sat.Solver.restarts - a.Sat.Solver.restarts;
-    learned = b.Sat.Solver.learned;
-    learned_total = b.Sat.Solver.learned_total - a.Sat.Solver.learned_total;
-    deleted = b.Sat.Solver.deleted - a.Sat.Solver.deleted;
-    subsumed = b.Sat.Solver.subsumed - a.Sat.Solver.subsumed;
-    strengthened = b.Sat.Solver.strengthened - a.Sat.Solver.strengthened;
-    vivified = b.Sat.Solver.vivified - a.Sat.Solver.vivified;
-    eliminated = b.Sat.Solver.eliminated - a.Sat.Solver.eliminated;
-  }
+let delta (a : Sat.Solver.stats) (b : Sat.Solver.stats) =
+  { (Sat.Solver.map2_stats ( - ) b a) with learned = b.Sat.Solver.learned }
 
 let run ?obs ?budget ?(jobs = 1) ~max_solutions inc =
   Diagnosis.Incremental.attach inc obs;

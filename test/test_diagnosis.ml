@@ -486,6 +486,137 @@ let test_incremental_budget () =
   Alcotest.(check bool) "no solutions lost" true
     (List.length full >= List.length partial)
 
+(* Every engine takes [Sat.Budget], and a born-exhausted budget stops it
+   before any work: truncated, every returned solution still valid, and
+   (for the SAT engines) not a single solver call *)
+type zero_budget_outcome = {
+  truncated : bool;
+  solutions : int list list;
+  valid : int list -> bool;
+  calls : int option;  (** solver calls, where the engine counts them *)
+}
+
+let s27_seq_workload () =
+  let s =
+    Sim.Sequential.of_parsed
+      (Netlist.Bench_format.parse_string ~name:"s27"
+         Bench_suite.Embedded.s27_text)
+  in
+  let comb, _ =
+    Sim.Injector.inject ~seed:2 ~num_errors:1 s.Sim.Sequential.comb
+  in
+  let faulty = Sim.Sequential.with_comb s comb in
+  let tests =
+    Sim.Seq_testgen.generate ~seed:3 ~length:4 ~max_sequences:2000 ~wanted:6
+      ~golden:s ~faulty
+  in
+  Alcotest.(check bool) "sequential workload fails" true (tests <> []);
+  (faulty, tests)
+
+let test_zero_budget_every_engine () =
+  let golden, faulty, _, tests = workload 28 2 in
+  let k = 2 in
+  let budget () = Sat.Budget.create ~seconds:0.0 () in
+  let outcome ?calls ?(valid = Diagnosis.Validity.check_sat faulty tests)
+      truncated solutions =
+    { truncated; solutions; valid; calls }
+  in
+  let counter obs name =
+    Option.value ~default:0 (List.assoc_opt name (Obs.counters obs))
+  in
+  let bsat jobs () =
+    let r = Diagnosis.Bsat.diagnose ~budget:(budget ()) ~jobs ~k faulty tests in
+    outcome ~calls:r.Diagnosis.Bsat.solver_calls r.Diagnosis.Bsat.truncated
+      r.Diagnosis.Bsat.solutions
+  in
+  let cover engine () =
+    let r =
+      Diagnosis.Cover.diagnose ~engine ~budget:(budget ()) ~k faulty tests
+    in
+    let sets = r.Diagnosis.Cover.bsim.Diagnosis.Bsim.candidate_sets in
+    outcome
+      ~valid:(fun s -> Diagnosis.Cover.covers s sets)
+      r.Diagnosis.Cover.truncated r.Diagnosis.Cover.solutions
+  in
+  let incremental () =
+    let inc = Diagnosis.Incremental.create ~k faulty tests in
+    let sols = Diagnosis.Incremental.solutions ~budget:(budget ()) inc in
+    outcome
+      ~calls:(Diagnosis.Incremental.solver_calls inc)
+      (Diagnosis.Incremental.last_truncated inc)
+      sols
+  in
+  let hitting () =
+    let r = Diagnosis.Hitting.diagnose ~budget:(budget ()) ~k faulty tests in
+    outcome ~calls:r.Diagnosis.Hitting.solver_calls
+      r.Diagnosis.Hitting.truncated r.Diagnosis.Hitting.solutions
+  in
+  let advanced_sim () =
+    let r =
+      Diagnosis.Advanced_sim.diagnose ~budget:(budget ()) ~k faulty tests
+    in
+    outcome r.Diagnosis.Advanced_sim.truncated
+      r.Diagnosis.Advanced_sim.solutions
+  in
+  let advanced_sat () =
+    let obs = Obs.create () in
+    let r =
+      Diagnosis.Advanced_sat.diagnose_dominators ~budget:(budget ()) ~obs ~k
+        faulty tests
+    in
+    outcome
+      ~calls:(counter obs "advsat/dominators/solver_calls")
+      r.Diagnosis.Advanced_sat.truncated r.Diagnosis.Advanced_sat.solutions
+  in
+  let seq_diag () =
+    let faulty, tests = s27_seq_workload () in
+    let r =
+      Diagnosis.Seq_diag.diagnose_bsat ~budget:(budget ()) ~k:1 faulty tests
+    in
+    outcome ~calls:r.Diagnosis.Seq_diag.solver_calls
+      ~valid:(Diagnosis.Seq_diag.check faulty tests)
+      r.Diagnosis.Seq_diag.truncated r.Diagnosis.Seq_diag.solutions
+  in
+  let hybrid_guided () =
+    let obs = Obs.create () in
+    let r = Diagnosis.Hybrid.guided ~budget:(budget ()) ~obs ~k faulty tests in
+    outcome
+      ~calls:
+        (counter obs "hybrid/plain/solver_calls"
+        + counter obs "hybrid/guided/solver_calls")
+      r.Diagnosis.Hybrid.truncated r.Diagnosis.Hybrid.solutions
+  in
+  (* its enumeration is the incremental row's; this counts twin queries *)
+  let adaptive () =
+    let r =
+      Diagnosis.Adaptive.diagnose ~budget:(budget ()) ~k ~golden faulty tests
+    in
+    outcome ~calls:r.Diagnosis.Adaptive.twin_calls
+      r.Diagnosis.Adaptive.truncated r.Diagnosis.Adaptive.solutions
+  in
+  List.iter
+    (fun (name, run) ->
+      let o = run () in
+      Alcotest.(check bool) (name ^ ": truncated") true o.truncated;
+      List.iter
+        (fun sol ->
+          Alcotest.(check bool) (name ^ ": solution valid") true (o.valid sol))
+        o.solutions;
+      Option.iter (Alcotest.(check int) (name ^ ": no solver call") 0) o.calls)
+    [
+      ("bsat jobs 1", bsat 1);
+      ("bsat jobs 4", bsat 4);
+      ("incremental", incremental);
+      ("hitting", hitting);
+      ("cover sat", cover Diagnosis.Cover.Sat_engine);
+      ("cover backtrack", cover Diagnosis.Cover.Backtrack_engine);
+      ("advanced sim", advanced_sim);
+      ("advanced sat", advanced_sat);
+      ("sequential bsat", seq_diag);
+      ("hybrid guided", hybrid_guided);
+      ("adaptive", adaptive);
+    ]
+
 (* ---------- advanced approaches ---------- *)
 
 let prop_bsat_strategies_agree =
@@ -1247,6 +1378,8 @@ let () =
             test_hybrid_repair_exhausted_budget;
           Alcotest.test_case "incremental budget" `Quick
             test_incremental_budget;
+          Alcotest.test_case "zero budget bounds every engine" `Quick
+            test_zero_budget_every_engine;
         ] );
       ( "hybrid",
         [ Alcotest.test_case "repair fig5a" `Quick test_hybrid_repair_fig5a ] );

@@ -96,9 +96,7 @@ let test_clocks () =
   | _ -> Alcotest.fail "expected one span");
   let w0 = Obs.Clock.wall () in
   let w1 = Obs.Clock.wall () in
-  Alcotest.(check bool) "wall clock is monotone here" true (w1 >= w0);
-  Alcotest.(check bool) "cpu clock is non-negative" true
-    (Obs.Clock.cpu () >= 0.0)
+  Alcotest.(check bool) "wall clock is monotone here" true (w1 >= w0)
 
 (* ---------- histograms ---------- *)
 

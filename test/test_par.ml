@@ -446,10 +446,11 @@ let prop_hitting_budget_subset =
 
 (* ---------- timing ---------- *)
 
-(* COV's reported times come from the wall clock at every width: process
-   CPU time sums over the worker domains, so at jobs 4 it could exceed
+(* Reported engine times come from the wall clock at every width: process
+   CPU time sums over the domains, so while other domains run (portfolio
+   workers, or any busy domain beside a one-worker run) it could exceed
    the elapsed time of the call. *)
-let test_cover_times_within_wall () =
+let timing_workload () =
   let golden =
     Netlist.Generators.random_dag ~seed:11 ~num_inputs:12 ~num_gates:200
       ~num_outputs:6 ()
@@ -458,20 +459,49 @@ let test_cover_times_within_wall () =
   let tests =
     Sim.Testgen.generate ~seed:13 ~max_vectors:4096 ~wanted:16 ~golden ~faulty
   in
+  (faulty, tests)
+
+let check_times_within_wall name run =
   let t0 = Obs.Clock.wall () in
-  let r = Diagnosis.Cover.diagnose ~jobs:4 ~k:4 faulty tests in
+  let times = run () in
   let wall = Obs.Clock.wall () -. t0 in
   List.iter
-    (fun (name, t) ->
+    (fun (field, t) ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s %.4fs <= wall %.4fs" name t wall)
+        (Printf.sprintf "%s %s %.4fs <= wall %.4fs" name field t wall)
         true
         (t >= 0.0 && t <= wall))
-    [
-      ("cnf_time", r.Diagnosis.Cover.cnf_time);
-      ("one_time", r.Diagnosis.Cover.one_time);
-      ("all_time", r.Diagnosis.Cover.all_time);
-    ]
+    (List.combine [ "cnf_time"; "one_time"; "all_time" ] times)
+
+let cover_times r =
+  Diagnosis.Cover.[ r.cnf_time; r.one_time; r.all_time ]
+
+let test_cover_times_within_wall () =
+  let faulty, tests = timing_workload () in
+  check_times_within_wall "cov" (fun () ->
+      cover_times (Diagnosis.Cover.diagnose ~jobs:4 ~k:4 faulty tests))
+
+let test_times_within_wall_beside_busy_domain () =
+  let faulty, tests = timing_workload () in
+  let stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        let n = ref 0 in
+        while not (Atomic.get stop) do
+          incr n
+        done;
+        !n)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      ignore (Domain.join spinner))
+    (fun () ->
+      check_times_within_wall "bsat" (fun () ->
+          let r = Diagnosis.Bsat.diagnose ~jobs:1 ~k:2 faulty tests in
+          Diagnosis.Bsat.[ r.cnf_time; r.one_time; r.all_time ]);
+      check_times_within_wall "cov" (fun () ->
+          cover_times (Diagnosis.Cover.diagnose ~jobs:1 ~k:4 faulty tests)))
 
 (* ---------- serve observability across widths ---------- *)
 
@@ -589,6 +619,10 @@ let () =
         [
           Alcotest.test_case "COV times within the wall clock at jobs 4"
             `Quick test_cover_times_within_wall;
+          Alcotest.test_case
+            "BSAT and COV times within the wall clock at jobs 1 beside a busy \
+             domain"
+            `Quick test_times_within_wall_beside_busy_domain;
         ] );
       ( "serve observability",
         [
