@@ -193,9 +193,9 @@ let ablation cfg =
       if tests <> [] then begin
         let k = spec.Bench_suite.Workload.num_errors in
         let time f =
-          let t0 = Sys.time () in
+          let t0 = Obs.Clock.wall () in
           let _ = f () in
-          Sys.time () -. t0
+          Obs.Clock.wall () -. t0
         in
         let max_solutions = 500 in
         let t_plain =
@@ -274,10 +274,10 @@ let hybrid cfg =
                     r.Diagnosis.Hybrid.added)
         in
         Fmt.pr "%-10s | %10.3f %10.3f | %10d %10d | %s@."
-          spec.Bench_suite.Workload.label h.Diagnosis.Hybrid.plain_time
-          h.Diagnosis.Hybrid.guided_time
-          h.Diagnosis.Hybrid.plain_stats.Sat.Solver.conflicts
-          h.Diagnosis.Hybrid.guided_stats.Sat.Solver.conflicts repair_summary
+          spec.Bench_suite.Workload.label h.Diagnosis.Hybrid.plain.all_time
+          h.Diagnosis.Hybrid.guided.all_time
+          h.Diagnosis.Hybrid.plain.stats.Sat.Solver.conflicts
+          h.Diagnosis.Hybrid.guided.stats.Sat.Solver.conflicts repair_summary
       end)
     specs;
   add_block "hybrid" (Obs.Json.Obj (List.rev !blocks));
@@ -352,7 +352,7 @@ let incremental _cfg =
         let steps = [ 4; 8; 16; 32 ] in
         let cap = 300 in
         (* from scratch at every m *)
-        let t0 = Sys.time () in
+        let t0 = Obs.Clock.wall () in
         let scratch =
           List.map
             (fun m ->
@@ -361,12 +361,12 @@ let incremental _cfg =
                 .Diagnosis.Bsat.solutions)
             steps
         in
-        let scratch_time = Sys.time () -. t0 in
+        let scratch_time = Obs.Clock.wall () -. t0 in
         (* one live instance, extended in place *)
-        let t1 = Sys.time () in
+        let t1 = Obs.Clock.wall () in
         let inc = Diagnosis.Incremental.create ~k faulty (prefix 4) in
         let grown = ref 4 in
-        let incremental_sols =
+        let incremental =
           List.map
             (fun m ->
               let fresh =
@@ -374,17 +374,22 @@ let incremental _cfg =
               in
               Diagnosis.Incremental.add_tests inc fresh;
               grown := max !grown m;
-              Diagnosis.Incremental.solutions ~max_solutions:cap inc)
+              (Diagnosis.Incremental.solutions ~max_solutions:cap inc)
+                .Diagnosis.Incremental.outcome)
             steps
         in
-        let incremental_time = Sys.time () -. t1 in
+        let incremental_time = Obs.Clock.wall () -. t1 in
+        let last = List.nth incremental (List.length incremental - 1) in
+        let incremental_sols =
+          List.map (fun o -> o.Diagnosis.Outcome.solutions) incremental
+        in
         let obs = Obs.create () in
         Diagnosis.Telemetry.record_solver_stats obs ~prefix:"incremental"
           (Diagnosis.Incremental.stats inc);
         Obs.add obs "incremental/solutions"
           (List.length (List.concat incremental_sols));
         Obs.add obs "incremental/truncated"
-          (if Diagnosis.Incremental.last_truncated inc then 1 else 0);
+          (if last.Diagnosis.Outcome.truncated then 1 else 0);
         blocks :=
           (spec.Bench_suite.Workload.label, Obs.to_json ~times:false obs)
           :: !blocks;
@@ -443,45 +448,42 @@ let hitting cfg =
             ~max_solutions:cap ~k faulty tests
         in
         let bsat = Diagnosis.Bsat.diagnose ~max_solutions:cap ~k faulty tests in
+        let bo = bfs.Diagnosis.Hitting.outcome in
+        let go = greedy.Diagnosis.Hitting.outcome in
         (* capped runs are truncated prefixes in engine-specific order, so
            set equality is meaningful only on complete enumerations *)
-        let capped =
-          bfs.Diagnosis.Hitting.truncated || greedy.Diagnosis.Hitting.truncated
-          || bsat.Diagnosis.Bsat.truncated
-        in
+        let capped = bo.truncated || go.truncated || bsat.truncated in
         let agree =
           capped
-          || (bfs.Diagnosis.Hitting.solutions = bsat.Diagnosis.Bsat.solutions
-             && greedy.Diagnosis.Hitting.solutions
-                = bsat.Diagnosis.Bsat.solutions
+          || (bo.solutions = bsat.solutions
+             && go.solutions = bsat.solutions
              && (cfg.jobs = 1
                 || (Diagnosis.Hitting.diagnose ~max_solutions:cap
                       ~jobs:cfg.jobs ~k faulty tests)
-                     .Diagnosis.Hitting.solutions
-                   = bsat.Diagnosis.Bsat.solutions))
+                     .Diagnosis.Hitting.outcome.solutions
+                   = bsat.solutions))
         in
         blocks :=
           ( spec.Bench_suite.Workload.label,
             Obs.Json.Obj
               [
-                ("solutions", Obs.Json.Int (List.length bfs.Diagnosis.Hitting.solutions));
+                ("solutions", Obs.Json.Int (List.length bo.solutions));
                 ("cores", Obs.Json.Int bfs.Diagnosis.Hitting.cores);
                 ("nodes", Obs.Json.Int bfs.Diagnosis.Hitting.nodes);
                 ("reused", Obs.Json.Int bfs.Diagnosis.Hitting.reused);
                 ("pruned", Obs.Json.Int bfs.Diagnosis.Hitting.pruned);
-                ("solver_calls", Obs.Json.Int bfs.Diagnosis.Hitting.solver_calls);
+                ("solver_calls", Obs.Json.Int bo.solver_calls);
                 ("greedy_cores", Obs.Json.Int greedy.Diagnosis.Hitting.cores);
                 ("greedy_nodes", Obs.Json.Int greedy.Diagnosis.Hitting.nodes);
                 ("bsat_solver_calls", Obs.Json.Int bsat.Diagnosis.Bsat.solver_calls);
-                ("truncated", Obs.Json.Int (if bfs.Diagnosis.Hitting.truncated then 1 else 0));
+                ("truncated", Obs.Json.Int (if bo.truncated then 1 else 0));
                 ("agree", Obs.Json.Int (if agree then 1 else 0));
               ] )
           :: !blocks;
         Fmt.pr "%-10s | %5d %5d %6d %6d | %8.3f %8.3f %8.3f | %s@."
           spec.Bench_suite.Workload.label bfs.Diagnosis.Hitting.cores
           bfs.Diagnosis.Hitting.nodes bfs.Diagnosis.Hitting.reused
-          bfs.Diagnosis.Hitting.pruned bfs.Diagnosis.Hitting.all_time
-          greedy.Diagnosis.Hitting.all_time bsat.Diagnosis.Bsat.all_time
+          bfs.Diagnosis.Hitting.pruned bo.all_time go.all_time bsat.all_time
           (if capped then "n/a (capped)" else if agree then "true" else "FALSE")
       end)
     specs;
@@ -572,10 +574,10 @@ let adaptive cfg =
            same caveat as the hitting experiment's capped cells *)
         let agree =
           cfg.jobs = 1
-          || r.Diagnosis.Adaptive.truncated
+          || r.Diagnosis.Adaptive.outcome.truncated
           ||
           let rn = run cfg.jobs in
-          rn.Diagnosis.Adaptive.solutions = r.Diagnosis.Adaptive.solutions
+          rn.Diagnosis.Adaptive.outcome.solutions = r.Diagnosis.Adaptive.outcome.solutions
           && rn.Diagnosis.Adaptive.verdict = r.Diagnosis.Adaptive.verdict
           && List.map
                (fun rd -> rd.Diagnosis.Adaptive.vector)
@@ -607,7 +609,7 @@ let adaptive cfg =
                 ( "rounds",
                   Obs.Json.Int (List.length r.Diagnosis.Adaptive.rounds) );
                 ( "survivors",
-                  Obs.Json.Int (List.length r.Diagnosis.Adaptive.solutions) );
+                  Obs.Json.Int (List.length r.Diagnosis.Adaptive.outcome.solutions) );
                 ("twin_calls", Obs.Json.Int r.Diagnosis.Adaptive.twin_calls);
                 ( "unique",
                   Obs.Json.Int
@@ -624,7 +626,7 @@ let adaptive cfg =
                 ("fixed_first_unique", Obs.Json.Int fixed_first_unique);
                 ("adaptive_better", Obs.Json.Int (if better then 1 else 0));
                 ( "truncated",
-                  Obs.Json.Int (if r.Diagnosis.Adaptive.truncated then 1 else 0)
+                  Obs.Json.Int (if r.Diagnosis.Adaptive.outcome.truncated then 1 else 0)
                 );
                 ("agree", Obs.Json.Int (if agree then 1 else 0));
               ] )
@@ -635,7 +637,7 @@ let adaptive cfg =
            else string_of_int fixed_first_unique)
           total
           (List.length r.Diagnosis.Adaptive.rounds)
-          (List.length r.Diagnosis.Adaptive.solutions)
+          (List.length r.Diagnosis.Adaptive.outcome.solutions)
           r.Diagnosis.Adaptive.twin_calls r.Diagnosis.Adaptive.tests_committed
           verdict_name
           (if agree then (if better then "true" else "false") else "DISAGREE")
@@ -803,23 +805,23 @@ let related _cfg =
     (fun w ->
       let c = Netlist.Generators.multiplier w in
       let gates = Array.length (Netlist.Circuit.gate_ids c) in
-      let t0 = Sys.time () in
+      let t0 = Obs.Clock.wall () in
       let m = Bdd.manager () in
       ignore (Bdd.of_circuit m c);
-      let bdd_time = Sys.time () -. t0 in
+      let bdd_time = Obs.Clock.wall () -. t0 in
       let nodes = Bdd.live_nodes m in
       let faulty, _ = Sim.Injector.inject ~seed:(w * 7) ~num_errors:1 c in
-      let t1 = Sys.time () in
+      let t1 = Obs.Clock.wall () in
       ignore (Encode.Miter.check ~spec:c ~impl:faulty);
-      let miter_time = Sys.time () -. t1 in
+      let miter_time = Obs.Clock.wall () -. t1 in
       let tests =
         Sim.Testgen.generate ~seed:w ~max_vectors:4096 ~wanted:8 ~golden:c
           ~faulty
       in
-      let t2 = Sys.time () in
+      let t2 = Obs.Clock.wall () in
       if tests <> [] then
         ignore (Diagnosis.Bsat.first_solution ~k:1 faulty tests);
-      let bsat_time = Sys.time () -. t2 in
+      let bsat_time = Obs.Clock.wall () -. t2 in
       Fmt.pr "mul%-5d %6d | %10d %9.3f | %9.3f %9.3f@." w gates nodes
         bdd_time miter_time bsat_time)
     [ 2; 3; 4; 5; 6 ];
@@ -887,13 +889,13 @@ let micro_throughput cfg =
   (* repetitions per second of [f], timed over at least [min_time] *)
   let rate ?(min_time = 0.3) f =
     ignore (f ());
-    let start = Sys.time () in
+    let start = Obs.Clock.wall () in
     let reps = ref 0 in
-    while Sys.time () -. start < min_time do
+    while Obs.Clock.wall () -. start < min_time do
       ignore (f ());
       incr reps
     done;
-    float_of_int !reps /. (Sys.time () -. start)
+    float_of_int !reps /. (Obs.Clock.wall () -. start)
   in
   Fmt.pr "== Simulation throughput (BENCH_micro.json, jobs=%d) ==@." cfg.jobs;
   Fmt.pr "  %-8s %6s | %12s %12s %14s %12s %8s@." "circuit" "gates"
@@ -1190,13 +1192,13 @@ let checksmoke _cfg =
       (* seconds per run of [f], timed over at least 0.3 s *)
       let time f =
         ignore (f ());
-        let start = Sys.time () in
+        let start = Obs.Clock.wall () in
         let reps = ref 0 in
-        while Sys.time () -. start < 0.3 do
+        while Obs.Clock.wall () -. start < 0.3 do
           ignore (f ());
           incr reps
         done;
-        (Sys.time () -. start) /. float_of_int !reps
+        (Obs.Clock.wall () -. start) /. float_of_int !reps
       in
       let solve_logged () =
         let s = Sat.Solver.create () in

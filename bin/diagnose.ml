@@ -62,60 +62,208 @@ let inject_cmd_run spec scale errors seed out =
 
 (* ---------- run (diagnosis) ---------- *)
 
-type approach =
-  | Bsim | Cov | Bsat | Advsim | Advsat | Hybrid | Xlist | Inc | Hitting
-  | Adaptive
+(* what one --method arm needs; [sim_budget] is the seconds allowance
+   alone, for the simulation-side engines (COV, advanced simulation, the
+   hybrid's COV seed): a conflict cap bounds the solver-backed steps *)
+type env = {
+  golden : Core.Circuit.t;
+  faulty : Core.Circuit.t;
+  tests : Core.Testgen.test list;
+  k : int;
+  max_solutions : int;
+  budget : Core.Budget.t option;
+  sim_budget : Core.Budget.t option;
+  obs : Core.Obs.t option;
+  certify : bool;
+  jobs : int;
+  heuristic : Core.Hitting.heuristic option;
+}
 
-let approach_conv =
-  let parse = function
-    | "bsim" -> Ok Bsim
-    | "cov" -> Ok Cov
-    | "bsat" -> Ok Bsat
-    | "advsim" -> Ok Advsim
-    | "advsat" -> Ok Advsat
-    | "hybrid" -> Ok Hybrid
-    | "xlist" -> Ok Xlist
-    | "incremental" -> Ok Inc
-    | "hitting" -> Ok Hitting
-    | "adaptive" -> Ok Adaptive
-    | s -> Error (`Msg (Printf.sprintf "unknown approach %S" s))
-  in
-  let print ppf a =
-    Fmt.string ppf
-      (match a with
-      | Bsim -> "bsim" | Cov -> "cov" | Bsat -> "bsat" | Advsim -> "advsim"
-      | Advsat -> "advsat" | Hybrid -> "hybrid" | Xlist -> "xlist"
-      | Inc -> "incremental" | Hitting -> "hitting" | Adaptive -> "adaptive")
-  in
-  Cmdliner.Arg.conv (parse, print)
+let truncation_notice truncated =
+  if truncated then
+    Fmt.pr
+      "budget exhausted: enumeration truncated (solutions above are still \
+       valid)@."
 
-let heuristic_conv =
-  let parse = function
-    | "bfs" -> Ok Core.Hitting.Bfs
-    | "greedy" -> Ok Core.Hitting.Greedy
-    | s -> Error (`Msg (Printf.sprintf "unknown heuristic %S" s))
-  in
-  let print ppf h =
-    Fmt.string ppf
-      (match h with Core.Hitting.Bfs -> "bfs" | Core.Hitting.Greedy -> "greedy")
-  in
-  Cmdliner.Arg.conv (parse, print)
-
-let report_solutions faulty tests label solutions =
-  Fmt.pr "%s: %d solution(s)@." label (List.length solutions);
+(* an arm's solution lines, under [heading] *)
+let listed e heading (o : Core.Outcome.t) =
+  Fmt.pr "%s: %d solution(s)@." heading (List.length o.solutions);
   List.iter
     (fun sol ->
-      let valid = Core.Validity.check_sat faulty tests sol in
-      Fmt.pr "  %a%s@." (pp_solution faulty) sol
+      let valid = Core.Validity.check_sat e.faulty e.tests sol in
+      Fmt.pr "  %a%s@." (pp_solution e.faulty) sol
         (if valid then "" else "  [not a valid correction]"))
-    solutions
+    o.solutions;
+  Some o
 
-let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
+let verdict k = function
+  | Core.Adaptive.Unique -> "unique diagnosis"
+  | Core.Adaptive.No_diagnosis ->
+      Printf.sprintf "no correction of size <= %d" k
+  | Core.Adaptive.Indistinguishable -> "survivors provably indistinguishable"
+  | Core.Adaptive.Stalled -> "stalled (no vector splits the survivors)"
+  | Core.Adaptive.Exhausted -> "exhausted (budget or round limit)"
+
+(* One row per --method: its name, whether it certifies its answers
+   (--certify), and the arm, which runs the engine and prints its lines.
+   An arm hands back the outcome whose truncation notice and
+   certification result the run reports ([None]: nothing to report). *)
+type meth = {
+  name : string;
+  certifies : bool;
+  run : env -> Core.Outcome.t option;
+}
+
+let bsim e =
+  let r = Core.Bsim.diagnose ?obs:e.obs ~jobs:e.jobs e.faulty e.tests in
+  Fmt.pr "BSIM: |union|=%d, max marks=%d@."
+    (List.length r.Core.Bsim.union)
+    r.Core.Bsim.max_marks;
+  Fmt.pr "G_max = %a@." (pp_solution e.faulty) r.Core.Bsim.gmax;
+  None
+
+let cov e =
+  let r =
+    Core.Cover.diagnose ~max_solutions:e.max_solutions ?budget:e.sim_budget
+      ?obs:e.obs ~jobs:e.jobs ~k:e.k e.faulty e.tests
+  in
+  listed e "COV"
+    { Core.Outcome.empty with solutions = r.solutions; truncated = r.truncated }
+
+let bsat e =
+  listed e "BSAT"
+    (Core.Bsat.diagnose ~max_solutions:e.max_solutions ?budget:e.budget
+       ?obs:e.obs ~certify:e.certify ~jobs:e.jobs ~k:e.k e.faulty e.tests)
+
+let advsim e =
+  let r =
+    Core.Advanced_sim.diagnose ~max_solutions:e.max_solutions
+      ?budget:e.sim_budget ~k:e.k e.faulty e.tests
+  in
+  listed e "advanced-sim"
+    { Core.Outcome.empty with solutions = r.solutions; truncated = r.truncated }
+
+let advsat e =
+  listed e "advanced-sat (2-pass)"
+    (Core.Advanced_sat.diagnose_dominators ~max_solutions:e.max_solutions
+       ?budget:e.budget ?obs:e.obs ~certify:e.certify ~jobs:e.jobs ~k:e.k
+       e.faulty e.tests)
+      .Core.Advanced_sat.outcome
+
+let hybrid e =
+  let cov =
+    Core.Cover.diagnose ~max_solutions:1 ?budget:e.sim_budget ?obs:e.obs
+      ~jobs:e.jobs ~k:e.k e.faulty e.tests
+  in
+  match cov.Core.Cover.solutions with
+  | [] ->
+      Fmt.pr "no COV seed available@.";
+      truncation_notice cov.Core.Cover.truncated;
+      None
+  | seed :: _ ->
+      Fmt.pr "COV seed: %a@." (pp_solution e.faulty) seed;
+      let r =
+        Core.Hybrid.repair ?budget:e.budget ?obs:e.obs ~certify:e.certify
+          ~jobs:e.jobs ~k:e.k ~seed e.faulty e.tests
+      in
+      (match r.Core.Hybrid.repaired with
+      | None when r.Core.Hybrid.outcome.truncated -> ()
+      | None -> Fmt.pr "no valid correction of size <= %d@." e.k
+      | Some rr ->
+          Fmt.pr "repaired: %a (dropped %d, added %d)@."
+            (pp_solution e.faulty) rr.Core.Hybrid.correction
+            rr.Core.Hybrid.dropped rr.Core.Hybrid.added);
+      (* the seed enumeration is capped at one solution on purpose, so
+         its truncated flag is not an exhaustion signal: the notice
+         reports the repair's *)
+      Some r.Core.Hybrid.outcome
+
+let xlist e =
+  let r = Core.Xlist.diagnose e.faulty e.tests in
+  Fmt.pr "Xlist: |union|=%d@." (List.length r.Core.Xlist.union);
+  None
+
+(* the exact engine `diagnose serve` runs per request, on a cold context
+   — a served response's stats block is byte-identical to this run's *)
+let incremental e =
+  let inc =
+    Core.Incremental.create ?obs:e.obs ~certify:e.certify ~k:e.k e.faulty
+      e.tests
+  in
+  listed e "incremental"
+    (Core.Serve.Engine.run ?obs:e.obs ?budget:e.budget ~jobs:e.jobs
+       ~max_solutions:e.max_solutions inc)
+      .Core.Incremental.outcome
+
+let hitting e =
+  let r =
+    Core.Hitting.diagnose ?heuristic:e.heuristic
+      ~max_solutions:e.max_solutions ?budget:e.budget ?obs:e.obs
+      ~certify:e.certify ~jobs:e.jobs ~k:e.k e.faulty e.tests
+  in
+  let o = listed e "HITTING" r.Core.Hitting.outcome in
+  Fmt.pr "cores=%d nodes=%d reused=%d pruned=%d@." r.Core.Hitting.cores
+    r.Core.Hitting.nodes r.Core.Hitting.reused r.Core.Hitting.pruned;
+  o
+
+let adaptive e =
+  let r =
+    Core.Adaptive.diagnose ~max_solutions:e.max_solutions ?budget:e.budget
+      ?obs:e.obs ~certify:e.certify ~jobs:e.jobs ~k:e.k ~golden:e.golden
+      e.faulty e.tests
+  in
+  List.iter
+    (fun (round : Core.Adaptive.round) ->
+      Fmt.pr
+        "round: %d -> %d survivor(s), %d new test(s), killed %d (entropy \
+         %.3f)@."
+        round.survivors_before round.survivors_after
+        (List.length round.triples)
+        (List.length round.killed) round.score)
+    r.Core.Adaptive.rounds;
+  Fmt.pr "adaptive: %d initial + %d generated test(s), %d twin quer%s@."
+    r.Core.Adaptive.initial_tests r.Core.Adaptive.tests_committed
+    r.Core.Adaptive.twin_calls
+    (if r.Core.Adaptive.twin_calls = 1 then "y" else "ies");
+  Fmt.pr "verdict: %s@." (verdict e.k r.Core.Adaptive.verdict);
+  listed e "ADAPTIVE" r.Core.Adaptive.outcome
+
+let methods =
+  [
+    { name = "bsim"; certifies = false; run = bsim };
+    { name = "cov"; certifies = false; run = cov };
+    { name = "bsat"; certifies = true; run = bsat };
+    { name = "advsim"; certifies = false; run = advsim };
+    { name = "advsat"; certifies = true; run = advsat };
+    { name = "hybrid"; certifies = true; run = hybrid };
+    { name = "xlist"; certifies = false; run = xlist };
+    { name = "incremental"; certifies = true; run = incremental };
+    { name = "hitting"; certifies = true; run = hitting };
+    { name = "adaptive"; certifies = true; run = adaptive };
+  ]
+
+(* with --certify: the verified-answer count or the failures (exit 3) *)
+let certification meth = function
+  | Some (o : Core.Outcome.t) when meth.certifies ->
+      if o.cert_failures = [] then begin
+        Fmt.pr "certified: %d solver answer(s) verified@." o.cert_checks;
+        0
+      end
+      else begin
+        Fmt.pr "CERTIFICATION FAILED (%d check(s)):@." o.cert_checks;
+        List.iter (fun msg -> Fmt.pr "  %s@." msg) o.cert_failures;
+        3
+      end
+  | _ ->
+      Fmt.pr "certification not supported for this method@.";
+      0
+
+let run_cmd_run golden_spec faulty_spec scale errors seed meth heuristic k
     m max_solutions stats trace_out budget_seconds budget_conflicts certify
     jobs =
   (* flags that only one method honors are rejected, not ignored: a
      silently dropped flag reads as a different experiment than it ran *)
-  if heuristic <> None && approach <> Hitting then
+  if heuristic <> None && meth.name <> "hitting" then
     Fmt.failwith "--heuristic only applies to --method hitting";
   let golden = load_circuit ~scale golden_spec in
   let faulty, injected =
@@ -145,149 +293,17 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
     let obs =
       if stats || trace_out <> None then Some (Core.Obs.create ()) else None
     in
-    (* the simulation-side engines (COV, advanced simulation, the
-       hybrid's COV seed) get only the seconds allowance: a conflict cap
-       bounds the solver-backed steps *)
-    let sim_budget () =
+    let sim_budget =
       Option.map (fun seconds -> Core.Budget.create ~seconds ()) budget_seconds
     in
-    let truncation_notice truncated =
-      if truncated then
-        Fmt.pr "budget exhausted: enumeration truncated (solutions above are still valid)@."
+    let outcome =
+      meth.run
+        { golden; faulty; tests; k; max_solutions; budget; sim_budget; obs;
+          certify; jobs; heuristic }
     in
-    (* with --certify: verified-answer count, or the failures, from the
-       SAT engines; None = the method has no certification support *)
-    let certification = ref None in
-    let note_cert checks failures =
-      if certify then certification := Some (checks, failures)
-    in
-    (match approach with
-    | Bsim ->
-        let r = Core.Bsim.diagnose ?obs ~jobs faulty tests in
-        Fmt.pr "BSIM: |union|=%d, max marks=%d@."
-          (List.length r.Core.Bsim.union)
-          r.Core.Bsim.max_marks;
-        Fmt.pr "G_max = %a@." (pp_solution faulty) r.Core.Bsim.gmax
-    | Cov ->
-        let r =
-          Core.Cover.diagnose ~max_solutions ?budget:(sim_budget ()) ?obs
-            ~jobs ~k faulty tests
-        in
-        report_solutions faulty tests "COV" r.Core.Cover.solutions;
-        truncation_notice r.Core.Cover.truncated
-    | Bsat ->
-        let r =
-          Core.Bsat.diagnose ~max_solutions ?budget ?obs ~certify ~jobs ~k
-            faulty tests
-        in
-        report_solutions faulty tests "BSAT" r.Core.Bsat.solutions;
-        truncation_notice r.Core.Bsat.truncated;
-        note_cert r.Core.Bsat.cert_checks r.Core.Bsat.cert_failures
-    | Advsim ->
-        let r =
-          Core.Advanced_sim.diagnose ~max_solutions ?budget:(sim_budget ())
-            ~k faulty tests
-        in
-        report_solutions faulty tests "advanced-sim"
-          r.Core.Advanced_sim.solutions;
-        truncation_notice r.Core.Advanced_sim.truncated
-    | Advsat ->
-        let r =
-          Core.Advanced_sat.diagnose_dominators ~max_solutions ?budget ?obs
-            ~certify ~jobs ~k faulty tests
-        in
-        report_solutions faulty tests "advanced-sat (2-pass)"
-          r.Core.Advanced_sat.solutions;
-        truncation_notice r.Core.Advanced_sat.truncated;
-        note_cert r.Core.Advanced_sat.cert_checks
-          r.Core.Advanced_sat.cert_failures
-    | Hybrid ->
-        let cov =
-          Core.Cover.diagnose ~max_solutions:1 ?budget:(sim_budget ()) ?obs
-            ~jobs ~k faulty tests
-        in
-        (match cov.Core.Cover.solutions with
-        | [] ->
-            Fmt.pr "no COV seed available@.";
-            truncation_notice cov.Core.Cover.truncated
-        | seed_sol :: _ ->
-            Fmt.pr "COV seed: %a@." (pp_solution faulty) seed_sol;
-            let r =
-              Core.Hybrid.repair ?budget ?obs ~certify ~jobs ~k
-                ~seed:seed_sol faulty tests
-            in
-            (match r.Core.Hybrid.repaired with
-            | None when r.Core.Hybrid.exhausted -> ()
-            | None -> Fmt.pr "no valid correction of size <= %d@." k
-            | Some rr ->
-                Fmt.pr "repaired: %a (dropped %d, added %d)@."
-                  (pp_solution faulty) rr.Core.Hybrid.correction
-                  rr.Core.Hybrid.dropped rr.Core.Hybrid.added);
-            (* the seed enumeration is capped at one solution on purpose,
-               so its truncated flag is not an exhaustion signal *)
-            truncation_notice r.Core.Hybrid.exhausted;
-            note_cert r.Core.Hybrid.cert_checks r.Core.Hybrid.cert_failures)
-    | Xlist ->
-        let r = Core.Xlist.diagnose faulty tests in
-        Fmt.pr "Xlist: |union|=%d@." (List.length r.Core.Xlist.union)
-    | Hitting ->
-        let heuristic =
-          Option.value ~default:Core.Hitting.Bfs heuristic
-        in
-        let r =
-          Core.Hitting.diagnose ~heuristic ~max_solutions ?budget ?obs
-            ~certify ~jobs ~k faulty tests
-        in
-        report_solutions faulty tests "HITTING" r.Core.Hitting.solutions;
-        Fmt.pr "cores=%d nodes=%d reused=%d pruned=%d@." r.Core.Hitting.cores
-          r.Core.Hitting.nodes r.Core.Hitting.reused r.Core.Hitting.pruned;
-        truncation_notice r.Core.Hitting.truncated;
-        note_cert r.Core.Hitting.cert_checks r.Core.Hitting.cert_failures
-    | Inc ->
-        (* the exact engine `diagnose serve` runs per request, on a
-           cold context — a served response's stats block is
-           byte-identical to this run's *)
-        let inc = Core.Incremental.create ?obs ~certify ~k faulty tests in
-        let r =
-          Core.Serve.Engine.run ?obs ?budget ~jobs ~max_solutions inc
-        in
-        report_solutions faulty tests "incremental"
-          r.Core.Serve.Engine.solutions;
-        truncation_notice r.Core.Serve.Engine.truncated;
-        note_cert r.Core.Serve.Engine.cert_checks
-          r.Core.Serve.Engine.cert_failures
-    | Adaptive ->
-        let r =
-          Core.Adaptive.diagnose ~max_solutions ?budget ?obs ~certify ~jobs
-            ~k ~golden faulty tests
-        in
-        List.iter
-          (fun (round : Core.Adaptive.round) ->
-            Fmt.pr
-              "round: %d -> %d survivor(s), %d new test(s), killed %d \
-               (entropy %.3f)@."
-              round.Core.Adaptive.survivors_before
-              round.Core.Adaptive.survivors_after
-              (List.length round.Core.Adaptive.triples)
-              (List.length round.Core.Adaptive.killed)
-              round.Core.Adaptive.score)
-          r.Core.Adaptive.rounds;
-        Fmt.pr "adaptive: %d initial + %d generated test(s), %d twin quer%s@."
-          r.Core.Adaptive.initial_tests r.Core.Adaptive.tests_committed
-          r.Core.Adaptive.twin_calls
-          (if r.Core.Adaptive.twin_calls = 1 then "y" else "ies");
-        Fmt.pr "verdict: %s@."
-          (match r.Core.Adaptive.verdict with
-          | Core.Adaptive.Unique -> "unique diagnosis"
-          | Core.Adaptive.No_diagnosis ->
-              Printf.sprintf "no correction of size <= %d" k
-          | Core.Adaptive.Indistinguishable ->
-              "survivors provably indistinguishable"
-          | Core.Adaptive.Stalled -> "stalled (no vector splits the survivors)"
-          | Core.Adaptive.Exhausted -> "exhausted (budget or round limit)");
-        report_solutions faulty tests "ADAPTIVE" r.Core.Adaptive.solutions;
-        truncation_notice r.Core.Adaptive.truncated;
-        note_cert r.Core.Adaptive.cert_checks r.Core.Adaptive.cert_failures);
+    Option.iter
+      (fun (o : Core.Outcome.t) -> truncation_notice o.truncated)
+      outcome;
     (match injected with
     | [] -> ()
     | errs ->
@@ -306,21 +322,7 @@ let run_cmd_run golden_spec faulty_spec scale errors seed approach heuristic k
         Fmt.pr "wrote %s (%d trace events)@." file
           (List.length (Core.Obs.Trace.events tr))
     | _ -> ());
-    let cert_exit =
-      if not certify then 0
-      else
-        match !certification with
-        | None ->
-            Fmt.pr "certification not supported for this method@.";
-            0
-        | Some (checks, []) ->
-            Fmt.pr "certified: %d solver answer(s) verified@." checks;
-            0
-        | Some (checks, failures) ->
-            Fmt.pr "CERTIFICATION FAILED (%d check(s)):@." checks;
-            List.iter (fun msg -> Fmt.pr "  %s@." msg) failures;
-            3
-    in
+    let cert_exit = if certify then certification meth outcome else 0 in
     (if stats then
        match obs with
        | None -> ()
@@ -639,8 +641,9 @@ let inject_cmd =
 
 let run_cmd =
   let faulty = Arg.(value & opt (some string) None & info [ "faulty" ] ~docv:"CIRCUIT" ~doc:"Faulty implementation (default: inject errors into CIRCUIT)") in
-  let approach = Arg.(value & opt approach_conv Bsat & info [ "method" ] ~doc:"bsim | cov | bsat | advsim | advsat | hybrid | xlist | incremental | hitting | adaptive") in
-  let heuristic = Arg.(value & opt (some heuristic_conv) None & info [ "heuristic" ] ~doc:"HSDAG expansion order for --method hitting: bfs (minimal cardinality first) or greedy (most frequent conflict element first); rejected for any other --method") in
+  let names sep only = String.concat sep (List.filter_map (fun m -> if only m then Some m.name else None) methods) in
+  let meth = Arg.(value & opt (enum (List.map (fun m -> (m.name, m)) methods)) (List.find (fun m -> m.name = "bsat") methods) & info [ "method" ] ~doc:(names " | " (fun _ -> true))) in
+  let heuristic = Arg.(value & opt (some (enum [ ("bfs", Core.Hitting.Bfs); ("greedy", Core.Hitting.Greedy) ])) None & info [ "heuristic" ] ~doc:"HSDAG expansion order for --method hitting: bfs (minimal cardinality first) or greedy (most frequent conflict element first); rejected for any other --method") in
   let k = Arg.(value & opt (some int) None & info [ "k" ] ~doc:"Correction size limit (default: number of injected errors)") in
   let m = Arg.(value & opt int 16 & info [ "tests"; "m" ] ~doc:"Number of failing tests to use") in
   let max_solutions = Arg.(value & opt int 1000 & info [ "max-solutions" ] ~doc:"Stop after this many solutions") in
@@ -648,10 +651,10 @@ let run_cmd =
   let trace = Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Write the run's event trace as Chrome trace_event JSON (open in chrome://tracing or Perfetto)") in
   let budget_seconds = Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Wall-clock budget; SAT engines stop mid-search and return the truncated-but-valid prefix") in
   let budget_conflicts = Arg.(value & opt (some int) None & info [ "budget-conflicts" ] ~docv:"N" ~doc:"Total solver conflict budget across the enumeration (deterministic)") in
-  let certify = Arg.(value & flag & info [ "certify" ] ~doc:"Independently verify every SAT-engine solver answer (bsat/advsat): Sat by model evaluation, Unsat by DRUP-checking the solver's proof; exits 3 on a failed check") in
+  let certify = Arg.(value & flag & info [ "certify" ] ~doc:("Independently verify every SAT-engine solver answer (" ^ names "/" (fun m -> m.certifies) ^ "): Sat by model evaluation, Unsat by DRUP-checking the solver's proof; exits 3 on a failed check")) in
   Cmd.v (Cmd.info "run" ~doc:"Diagnose a faulty circuit against its golden version")
     Term.(const run_cmd_run $ circuit_pos $ faulty $ scale $ errors $ seed
-          $ approach $ heuristic $ k $ m $ max_solutions $ stats $ trace
+          $ meth $ heuristic $ k $ m $ max_solutions $ stats $ trace
           $ budget_seconds $ budget_conflicts $ certify $ jobs)
 
 let coverage_cmd =

@@ -28,16 +28,14 @@ let () =
   (* (a) BSIM-guided decision order *)
   let guided = Core.Hybrid.guided ~max_solutions:500 ~k:p faulty tests in
   Fmt.pr "-- hybrid (a): BSIM marks drive the SAT decision heuristic --@.";
-  Fmt.pr "plain BSAT : %.3fs, %d conflicts, %d decisions@."
-    guided.Core.Hybrid.plain_time
-    guided.Core.Hybrid.plain_stats.Core.Solver.conflicts
-    guided.Core.Hybrid.plain_stats.Core.Solver.decisions;
-  Fmt.pr "guided BSAT: %.3fs, %d conflicts, %d decisions@."
-    guided.Core.Hybrid.guided_time
-    guided.Core.Hybrid.guided_stats.Core.Solver.conflicts
-    guided.Core.Hybrid.guided_stats.Core.Solver.decisions;
+  let show label (o : Core.Outcome.t) =
+    Fmt.pr "%s: %.3fs, %d conflicts, %d decisions@." label o.all_time
+      o.stats.Core.Solver.conflicts o.stats.Core.Solver.decisions
+  in
+  show "plain BSAT " guided.Core.Hybrid.plain;
+  show "guided BSAT" guided.Core.Hybrid.guided;
   Fmt.pr "identical %d solutions either way.@.@."
-    (List.length guided.Core.Hybrid.solutions);
+    (List.length guided.Core.Hybrid.guided.solutions);
 
   (* (b) repair a COV seed *)
   Fmt.pr "-- hybrid (b): repair an initial (possibly invalid) correction --@.";

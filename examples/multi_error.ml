@@ -87,7 +87,7 @@ let () =
   in
   Fmt.pr "advanced SAT (2-pass dominators): %d corrections, pass1 explored \
           %d coarse sites@."
-    (List.length adom.Core.Advanced_sat.solutions)
+    (List.length adom.Core.Advanced_sat.outcome.solutions)
     (List.length adom.Core.Advanced_sat.pass1_solutions);
 
   (* does some BSAT solution sit inside the real error set? *)

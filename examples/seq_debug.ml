@@ -68,11 +68,11 @@ let () =
     Fmt.pr "sequential BSAT (unrolled over %d frames): %a@."
       r.Core.Seq_diag.frames
       (Fmt.list ~sep:(Fmt.any " ") pp_sol)
-      r.Core.Seq_diag.solutions;
+      r.Core.Seq_diag.outcome.solutions;
     List.iter
       (fun sol ->
         assert (Core.Seq_diag.check faulty tests sol))
-      r.Core.Seq_diag.solutions;
+      r.Core.Seq_diag.outcome.solutions;
     Fmt.pr "(all verified as valid sequential corrections)@.";
     Fmt.pr "actual error site: {%s}@."
       (name (List.hd (Core.Fault.sites errors)))

@@ -9,11 +9,11 @@ let row_stats_json (r : Runner.row) =
       ("p", Obs.Json.Int r.Runner.p);
       ("m", Obs.Json.Int r.Runner.m);
       ("cov_solutions", Obs.Json.Int (List.length r.Runner.cov_solutions));
-      ("bsat_solutions", Obs.Json.Int (List.length r.Runner.bsat_solutions));
+      ("bsat_solutions", Obs.Json.Int (List.length r.bsat.solutions));
       ("cov_truncated", Obs.Json.Bool r.Runner.cov_truncated);
-      ("bsat_truncated", Obs.Json.Bool r.Runner.bsat_truncated);
-      ("bsat_solver_calls", Obs.Json.Int r.Runner.bsat_solver_calls);
-      ("bsat", solver_stats_json r.Runner.bsat_stats);
+      ("bsat_truncated", Obs.Json.Bool r.bsat.truncated);
+      ("bsat_solver_calls", Obs.Json.Int r.bsat.solver_calls);
+      ("bsat", solver_stats_json r.bsat.stats);
     ]
 
 let rows_stats_json rows = Obs.Json.Arr (List.map row_stats_json rows)
@@ -28,8 +28,8 @@ let pp_table2 ppf rows =
       Format.fprintf ppf
         "%-10s %3d %4d | %8.3f | %8.3f %8.3f %8.3f | %8.3f %8.3f %8.3f%s@."
         r.Runner.label r.p r.m r.bsim_time r.cov.Runner.cnf r.cov.Runner.one
-        r.cov.Runner.all r.bsat.Runner.cnf r.bsat.Runner.one r.bsat.Runner.all
-        (if r.cov_truncated || r.bsat_truncated then "  (truncated)" else ""))
+        r.cov.Runner.all r.bsat.cnf_time r.bsat.one_time r.bsat.all_time
+        (if r.cov_truncated || r.bsat.truncated then "  (truncated)" else ""))
     rows
 
 let pp_table3 ppf rows =

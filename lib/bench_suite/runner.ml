@@ -6,17 +6,13 @@ type row = {
   m : int;
   bsim_time : float;
   cov : times;
-  bsat : times;
+  bsat : Diagnosis.Outcome.t;
   bsim_q : Diagnosis.Metrics.bsim_quality;
   cov_q : Diagnosis.Metrics.solution_quality;
   bsat_q : Diagnosis.Metrics.solution_quality;
   cov_solutions : int list list;
-  bsat_solutions : int list list;
   cov_truncated : bool;
-  bsat_truncated : bool;
   error_sites : int list;
-  bsat_solver_calls : int;
-  bsat_stats : Sat.Solver.stats;
 }
 
 let run_row ?max_solutions ?seconds (w : Workload.prepared) ~m =
@@ -37,7 +33,7 @@ let run_row ?max_solutions ?seconds (w : Workload.prepared) ~m =
     Diagnosis.Cover.diagnose ?max_solutions ?budget:(budget ()) ~k faulty
       tests
   in
-  let bsat_r =
+  let bsat =
     Diagnosis.Bsat.diagnose ?max_solutions ?budget:(budget ()) ~k faulty
       tests
   in
@@ -50,24 +46,17 @@ let run_row ?max_solutions ?seconds (w : Workload.prepared) ~m =
       { cnf = cov_r.Diagnosis.Cover.cnf_time;
         one = cov_r.Diagnosis.Cover.one_time;
         all = cov_r.Diagnosis.Cover.all_time };
-    bsat =
-      { cnf = bsat_r.Diagnosis.Bsat.cnf_time;
-        one = bsat_r.Diagnosis.Bsat.one_time;
-        all = bsat_r.Diagnosis.Bsat.all_time };
+    bsat;
     bsim_q = Diagnosis.Metrics.bsim_quality faulty ~error_sites bsim;
     cov_q =
       Diagnosis.Metrics.solutions_quality faulty ~error_sites
         cov_r.Diagnosis.Cover.solutions;
     bsat_q =
       Diagnosis.Metrics.solutions_quality faulty ~error_sites
-        bsat_r.Diagnosis.Bsat.solutions;
+        bsat.Diagnosis.Bsat.solutions;
     cov_solutions = cov_r.Diagnosis.Cover.solutions;
-    bsat_solutions = bsat_r.Diagnosis.Bsat.solutions;
     cov_truncated = cov_r.Diagnosis.Cover.truncated;
-    bsat_truncated = bsat_r.Diagnosis.Bsat.truncated;
     error_sites;
-    bsat_solver_calls = bsat_r.Diagnosis.Bsat.solver_calls;
-    bsat_stats = bsat_r.Diagnosis.Bsat.stats;
   }
 
 let run ?max_solutions ?seconds w =

@@ -9,17 +9,13 @@ type row = {
   m : int;                      (** tests actually used *)
   bsim_time : float;
   cov : times;
-  bsat : times;
+  bsat : Diagnosis.Outcome.t;  (** BSAT's run *)
   bsim_q : Diagnosis.Metrics.bsim_quality;
   cov_q : Diagnosis.Metrics.solution_quality;
   bsat_q : Diagnosis.Metrics.solution_quality;
   cov_solutions : int list list;
-  bsat_solutions : int list list;
   cov_truncated : bool;
-  bsat_truncated : bool;
   error_sites : int list;
-  bsat_solver_calls : int;          (** SAT oracle invocations *)
-  bsat_stats : Sat.Solver.stats;    (** BSAT's solver counters *)
 }
 
 val run_row :

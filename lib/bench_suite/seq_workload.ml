@@ -49,6 +49,7 @@ let run ~label ~seed ~frames ~wanted s =
       let covers = Diagnosis.Seq_diag.diagnose_cov ~k:1 faulty tests in
       let t0 = Obs.Clock.wall () in
       let bsat = Diagnosis.Seq_diag.diagnose_bsat ~k:1 faulty tests in
+      let sols = bsat.Diagnosis.Seq_diag.outcome.solutions in
       Some
         {
           label;
@@ -56,8 +57,7 @@ let run ~label ~seed ~frames ~wanted s =
           m = List.length tests;
           bsim_union = List.length union;
           cov_count = List.length covers;
-          bsat_count = List.length bsat.Diagnosis.Seq_diag.solutions;
+          bsat_count = List.length sols;
           bsat_time = Obs.Clock.wall () -. t0;
-          site_hit =
-            List.exists (List.mem site) bsat.Diagnosis.Seq_diag.solutions;
+          site_hit = List.exists (List.mem site) sols;
         }

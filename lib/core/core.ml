@@ -19,6 +19,7 @@ module Obs = Obs
 module Par = Par
 module Telemetry = Diagnosis.Telemetry
 module Solutions = Diagnosis.Solutions
+module Outcome = Diagnosis.Outcome
 module Tseitin = Encode.Tseitin
 module Cardinality = Encode.Cardinality
 module Muxed = Encode.Muxed

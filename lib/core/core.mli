@@ -31,6 +31,7 @@ module Solver = Sat.Solver
 module Budget = Sat.Budget
 module Obs = Obs
 module Telemetry = Diagnosis.Telemetry
+module Outcome = Diagnosis.Outcome
 module Tseitin = Encode.Tseitin
 module Cardinality = Encode.Cardinality
 module Muxed = Encode.Muxed

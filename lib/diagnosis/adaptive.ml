@@ -12,15 +12,12 @@ type round = {
 }
 
 type result = {
-  solutions : int list list;
+  outcome : Outcome.t;
   verdict : verdict;
   rounds : round list;
   initial_tests : int;
   tests_committed : int;
   twin_calls : int;
-  truncated : bool;
-  cert_checks : int;
-  cert_failures : string list;
 }
 
 let vector_key v =
@@ -124,7 +121,12 @@ let diagnose ?(max_rounds = 32) ?(max_stall = 4) ?(vectors_per_pair = 4)
   let remember vector = seen := !seen @ [ vector ] in
   let rounds = ref [] in
   let committed = ref 0 in
-  let enumerate () = Incremental.solutions ~max_solutions ?budget ~jobs inc in
+  let enumerations = ref [] in
+  let enumerate () =
+    let r = Incremental.solutions ~max_solutions ?budget ~jobs inc in
+    enumerations := r.Incremental.outcome :: !enumerations;
+    r.Incremental.outcome
+  in
   let budget_alive () =
     match budget with None -> true | Some b -> not (Sat.Budget.exhausted b)
   in
@@ -206,7 +208,8 @@ let diagnose ?(max_rounds = 32) ?(max_stall = 4) ?(vectors_per_pair = 4)
               remember vector;
               Incremental.add_tests inc triples;
               committed := !committed + List.length triples;
-              let survivors' = enumerate () in
+              let enumerated = enumerate () in
+              let survivors' = enumerated.Outcome.solutions in
               Telemetry.observe obs "adaptive/killed" (List.length killed);
               rounds :=
                 {
@@ -220,14 +223,14 @@ let diagnose ?(max_rounds = 32) ?(max_stall = 4) ?(vectors_per_pair = 4)
                   pairs_inseparable = inseparable;
                 }
                 :: !rounds;
-              if Incremental.last_truncated inc then (Exhausted, survivors')
+              if enumerated.Outcome.truncated then (Exhausted, survivors')
               else loop (round_idx + 1) 0 survivors'
         end
   in
-  let survivors0 = enumerate () in
+  let first = enumerate () in
   let verdict, solutions =
-    if Incremental.last_truncated inc then (Exhausted, survivors0)
-    else loop 0 0 survivors0
+    if first.Outcome.truncated then (Exhausted, first.Outcome.solutions)
+    else loop 0 0 first.Outcome.solutions
   in
   let truncated = verdict = Exhausted in
   Option.iter
@@ -238,17 +241,24 @@ let diagnose ?(max_rounds = 32) ?(max_stall = 4) ?(vectors_per_pair = 4)
       Obs.add o "adaptive/solutions" (List.length solutions);
       Obs.add o "adaptive/truncated" (if truncated then 1 else 0))
     obs;
-  let cert_checks = Incremental.cert_checks inc + !twin_checks in
-  let cert_failures = Incremental.cert_failures inc @ !twin_failures in
+  let runs = Outcome.sum (List.rev !enumerations) in
+  let outcome =
+    {
+      runs with
+      solutions;
+      truncated;
+      solver_calls = runs.solver_calls + !twin_calls;
+      stats = Incremental.stats inc;
+      cert_checks = runs.cert_checks + !twin_checks;
+      cert_failures = runs.cert_failures @ !twin_failures;
+    }
+  in
   Incremental.retire inc;
   {
-    solutions;
+    outcome;
     verdict;
     rounds = List.rev !rounds;
     initial_tests = List.length tests;
     tests_committed = !committed;
     twin_calls = !twin_calls;
-    truncated;
-    cert_checks;
-    cert_failures;
   }

@@ -63,15 +63,16 @@ type round = {
 }
 
 type result = {
-  solutions : int list list;  (** final survivors, canonical order *)
+  outcome : Outcome.t;
+      (** the final survivors in canonical order, [truncated] iff
+          [verdict = Exhausted]; [solver_calls] counts every enumeration
+          call and twin query, [stats] are the warm context's solver
+          counters, and the certificates cover both *)
   verdict : verdict;
   rounds : round list;  (** committed rounds, in order *)
   initial_tests : int;  (** triples in the initial set *)
   tests_committed : int;  (** generated triples added by the loop *)
   twin_calls : int;  (** twin solver queries issued *)
-  truncated : bool;  (** [verdict = Exhausted] *)
-  cert_checks : int;
-  cert_failures : string list;
 }
 
 val diagnose :
@@ -117,7 +118,8 @@ val diagnose :
 
     [certify] verifies every SAT answer of the enumeration {e and} of
     every twin query (models by evaluation, Unsat by DRUP replay);
-    outcomes accumulate in [cert_checks] / [cert_failures].  The
+    outcomes accumulate in the outcome's [cert_checks] /
+    [cert_failures].  The
     per-survivor validity probes used for scoring are plain solver
     calls and are not certified — they only rank vectors and never
     justify a verdict by themselves.

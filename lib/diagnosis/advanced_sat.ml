@@ -1,42 +1,27 @@
 module Dominators = Netlist.Dominators
 
-type result = {
-  solutions : int list list;
-  pass1_solutions : int list list;
-  total_time : float;
-  truncated : bool;
-  stats : Sat.Solver.stats;
-  cert_checks : int;
-  cert_failures : string list;
-}
+type result = { outcome : Outcome.t; pass1_solutions : int list list }
 
-(* The result over the Bsat passes run, in order; [final] supplies the
-   solver counters.  Inner Bsat runs are deliberately not handed [obs]:
-   their per-call counters would double-count against the final-pass
-   snapshot recorded here.  Phase events around each pass carry the
-   trajectory instead. *)
-let finish obs prefix ~t0 ~solutions ~final passes =
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 passes in
-  let r =
+(* The result over the Bsat passes run, in order: their sum, with the
+   final pass's solver counters and the whole run's wall time.  Inner
+   Bsat runs are deliberately not handed [obs]: their per-call counters
+   would double-count against the final-pass snapshot recorded here.
+   Phase events around each pass carry the trajectory instead. *)
+let finish obs prefix ~t0 ~solutions passes =
+  let final = List.fold_left (fun _ r -> r) Outcome.empty passes in
+  let outcome =
     {
+      (Outcome.sum passes) with
       solutions;
-      pass1_solutions = (List.hd passes).Bsat.solutions;
-      total_time = Obs.Clock.wall () -. t0;
-      truncated = List.exists (fun r -> r.Bsat.truncated) passes;
-      stats = final.Bsat.stats;
-      cert_checks = sum (fun r -> r.Bsat.cert_checks);
-      cert_failures = List.concat_map (fun r -> r.Bsat.cert_failures) passes;
+      stats = final.Outcome.stats;
+      all_time = Obs.Clock.wall () -. t0;
     }
   in
-  (match obs with
-  | None -> ()
-  | Some obs ->
-      Telemetry.record_run obs ~prefix
-        ~solutions:(List.length r.solutions)
-        ~solver_calls:(sum (fun r -> r.Bsat.solver_calls))
-        ~truncated:r.truncated r.stats;
-      Obs.record_span obs (prefix ^ "/total") r.total_time);
-  r
+  Option.iter (fun obs -> Outcome.record ~sizes:false obs ~prefix outcome) obs;
+  let pass1_solutions =
+    match passes with [] -> [] | p :: _ -> p.Outcome.solutions
+  in
+  { outcome; pass1_solutions }
 
 let diagnose_dominators ?max_solutions ?budget ?obs ?certify ?jobs
     ~k c tests =
@@ -69,8 +54,7 @@ let diagnose_dominators ?max_solutions ?budget ?obs ?certify ?jobs
     | _ -> [ pass1; pass "advsat/pass2" implicated ]
   in
   let final = List.nth passes (List.length passes - 1) in
-  finish obs "advsat/dominators" ~t0 ~solutions:final.Bsat.solutions ~final
-    passes
+  finish obs "advsat/dominators" ~t0 ~solutions:final.Bsat.solutions passes
 
 let chunks n xs =
   let rec go acc cur count = function
@@ -85,16 +69,7 @@ let diagnose_partitioned ?(slice = 8) ?max_solutions ?budget ?obs
     ?certify ?jobs ~k c tests =
   let t0 = Obs.Clock.wall () in
   match chunks slice tests with
-  | [] ->
-      {
-        solutions = [];
-        pass1_solutions = [];
-        total_time = 0.0;
-        truncated = false;
-        stats = Sat.Solver.zero_stats;
-        cert_checks = 0;
-        cert_failures = [];
-      }
+  | [] -> finish obs "advsat/partitioned" ~t0 ~solutions:[] []
   | first :: rest ->
       let passes = ref [] in
       let solve ?candidates slice_tests =
@@ -123,5 +98,4 @@ let diagnose_partitioned ?(slice = 8) ?max_solutions ?budget ?obs
         List.filter (fun sol -> Validity.check_sat c tests sol)
           final.Bsat.solutions
       in
-      finish obs "advsat/partitioned" ~t0 ~solutions ~final
-        (List.rev !passes)
+      finish obs "advsat/partitioned" ~t0 ~solutions (List.rev !passes)

@@ -19,17 +19,13 @@
     outside the implicated regions can be missed. *)
 
 type result = {
-  solutions : int list list;
+  outcome : Outcome.t;
+      (** the final solutions; [truncated] if any underlying pass hit
+          its budget or solution cap (the reported solutions are still
+          individually valid); solver calls and certificates summed over
+          all passes; [stats] from the final pass; [all_time] the whole
+          run *)
   pass1_solutions : int list list; (** coarse (dominator / first-slice) *)
-  total_time : float;
-  truncated : bool;
-      (** any underlying pass hit its budget or solution cap; the reported
-          solutions are still individually valid *)
-  stats : Sat.Solver.stats;        (** from the final pass *)
-  cert_checks : int;
-      (** with [certify]: verified answers, summed over all passes *)
-  cert_failures : string list;
-      (** with [certify]: verification failures over all passes *)
 }
 
 val diagnose_dominators :
@@ -44,7 +40,8 @@ val diagnose_dominators :
   result
 (** [budget] is shared across both passes: the refinement pass only gets
     whatever allowance the skeleton pass left over.  [obs] records the
-    run under ["advsat/dominators/..."] and brackets the passes with
+    outcome under ["advsat/dominators/..."] ({!Outcome.record}, without
+    the size histogram) and brackets the passes with
     ["advsat/pass1"]/["advsat/pass2"] [Begin]/[End] events ([End]
     payload = pass solution count).  [certify] verifies every underlying
     solver answer ({!Bsat.diagnose}).  [jobs] runs every underlying BSAT

@@ -1,13 +1,13 @@
-type result = {
+type result = Outcome.t = {
   solutions : int list list;
-  cnf_time : float;
-  one_time : float;
-  all_time : float;
   truncated : bool;
   solver_calls : int;
   stats : Sat.Solver.stats;
   cert_checks : int;
   cert_failures : string list;
+  cnf_time : float;
+  one_time : float;
+  all_time : float;
 }
 
 type hints = {
@@ -112,24 +112,24 @@ let diagnose ?candidates ?force_zero ?(hints = no_hints)
       run =
         {
           solutions = r.found;
-          cnf_time;
-          one_time = r.first_at -. wstart;
-          all_time;
           truncated = r.truncated;
           solver_calls = r.calls;
           stats = Sat.Solver.stats solver;
           cert_checks = Encode.Muxed.cert_checks inst;
           cert_failures = Encode.Muxed.cert_failures inst;
+          cnf_time;
+          one_time = r.first_at -. wstart;
+          all_time;
         };
       fence = r.completed;
       reg;
     }
   in
   let workers = Array.to_list (Par.run ~jobs worker) in
-  let runs = List.map (fun w -> w.run) workers in
-  let merged =
-    List.concat_map (fun r -> r.solutions) runs |> Solutions.canonical
-  in
+  (* per-worker certification composes: each worker certifies its own
+     cubes' answers, and the cubes cover the solution space *)
+  let total = Outcome.sum (List.map (fun w -> w.run) workers) in
+  let merged = Solutions.canonical total.solutions in
   (* one cube already yields an antichain.  Across cubes, a solution of
      size <= fence+1 that is not essential contains an essential one of
      size <= fence, which every worker's every cube enumerated to Unsat
@@ -148,46 +148,15 @@ let diagnose ?candidates ?force_zero ?(hints = no_hints)
   let solutions =
     if over then List.filteri (fun i _ -> i < max_solutions) merged else merged
   in
-  let truncated = over || List.exists (fun r -> r.truncated) runs in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
-  let latest f = List.fold_left (fun acc r -> Float.max acc (f r)) 0.0 runs in
-  let one_time =
-    List.fold_left (fun acc r -> Float.min acc r.one_time) infinity runs
-  in
-  let stats =
-    List.fold_left (fun acc r -> Sat.Solver.add_stats acc r.stats)
-      Sat.Solver.zero_stats runs
-  in
-  let solver_calls = sum (fun r -> r.solver_calls) in
-  let cnf_time = latest (fun r -> r.cnf_time) in
-  let all_time = latest (fun r -> r.all_time) in
-  (match obs with
-  | None -> ()
-  | Some obs ->
+  let r = { total with solutions; truncated = over || total.truncated } in
+  Option.iter
+    (fun obs ->
       if jobs > 1 then
         Obs.merge_children ~into:obs
           (Array.of_list (List.filter_map (fun w -> w.reg) workers));
-      List.iter
-        (fun sol ->
-          Obs.observe obs (obs_prefix ^ "/solution_size") (List.length sol))
-        solutions;
-      Telemetry.record_run obs ~prefix:obs_prefix
-        ~solutions:(List.length solutions) ~solver_calls ~truncated stats;
-      Obs.record_span obs (obs_prefix ^ "/cnf") cnf_time;
-      Obs.record_span obs (obs_prefix ^ "/solve") all_time);
-  {
-    solutions;
-    cnf_time;
-    one_time = (if Float.is_finite one_time then one_time else 0.0);
-    all_time;
-    truncated;
-    solver_calls;
-    stats;
-    (* per-worker certification composes: each worker certifies its own
-       cubes' answers, and the cubes cover the solution space *)
-    cert_checks = sum (fun r -> r.cert_checks);
-    cert_failures = List.concat_map (fun r -> r.cert_failures) runs;
-  }
+      Outcome.record obs ~prefix:obs_prefix r)
+    obs;
+  r
 
 let first_solution ?candidates ?force_zero ?hints ~k c tests =
   let r = diagnose ?candidates ?force_zero ?hints ~max_solutions:1 ~k c tests in

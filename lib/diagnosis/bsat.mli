@@ -7,29 +7,20 @@
     valid corrections containing only essential candidates up to size k
     (Lemmas 1 and 3). *)
 
-type result = {
+type result = Outcome.t = {
   solutions : int list list;
-      (** essential valid corrections, each sorted, in canonical
-          (cardinality, then lexicographic) order ({!Solutions}) *)
-  cnf_time : float;
-      (** instance construction (paper "CNF"); this and the two times
-          below are wall-clock seconds ({!Obs.Clock.wall}) at every
-          [jobs] width *)
-  one_time : float;           (** time to the first solution (paper "One") *)
-  all_time : float;           (** full enumeration time (paper "All") *)
   truncated : bool;
-      (** hit [max_solutions] or the solver budget; the enumerated
-          prefix is still sound (every solution valid) *)
-  solver_calls : int;         (** SAT oracle invocations *)
-  stats : Sat.Solver.stats;   (** solver counters, for the hybrid ablation *)
-  cert_checks : int;
-      (** with [certify]: solver answers independently verified (0
-          otherwise); in a portfolio, summed over the workers *)
+  solver_calls : int;
+  stats : Sat.Solver.stats;
+  cert_checks : int;  (** in a portfolio, summed over the workers *)
   cert_failures : string list;
-      (** with [certify]: verification failures — [[]] on a healthy
-          build.  A non-empty list means a solver or checker bug; the
-          diagnosis result itself is unchanged. *)
+  cnf_time : float;
+  one_time : float;
+  all_time : float;
 }
+(** The shared engine outcome ({!Outcome.t}), re-exported so its fields
+    resolve under [Bsat]; the times are wall-clock at every [jobs]
+    width. *)
 
 type hints = {
   priority : (int * float) list;
@@ -109,8 +100,9 @@ val diagnose :
     correction).  Conflict/propagation budgets are deterministic under
     a fixed seed.
 
-    [obs] records the run under ["<obs_prefix>/..."] counters and spans
-    (default prefix ["bsat"]), brackets instance construction and the
+    [obs] records the outcome under ["<obs_prefix>/..."] counters and
+    spans ({!Outcome.record}; default prefix ["bsat"]), brackets
+    instance construction and the
     enumeration with ["<obs_prefix>/cnf"]/["<obs_prefix>/solve"]
     [Begin]/[End] events (the solve [End] payload is the solution
     count), fills a ["<obs_prefix>/solution_size"] histogram and

@@ -1,28 +1,12 @@
 type heuristic = Bfs | Greedy
 
 type result = {
-  solutions : int list list;
-  cnf_time : float;
-  one_time : float;
-  all_time : float;
-  truncated : bool;
-  solver_calls : int;
+  outcome : Outcome.t;
   cores : int;
   reused : int;
   nodes : int;
   pruned : int;
-  stats : Sat.Solver.stats;
-  cert_checks : int;
-  cert_failures : string list;
 }
-
-(* both lists sorted ascending *)
-let rec subset a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: a', y :: b' ->
-      if x = y then subset a' b' else if y < x then subset a b' else false
 
 let rec disjoint a b =
   match (a, b) with
@@ -58,9 +42,9 @@ type label = Conflict of int list | Exhausted | Interrupted
 
 type outcome = { found : int list list; label : label }
 
-let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
-    ?(max_solutions = max_int) ?(budget = Sat.Budget.unlimited ()) ?obs
-    ?(obs_prefix = "hitting") ?(certify = false) ?(jobs = 1) ~k c tests =
+let diagnose ?(heuristic = Bfs) ?(max_solutions = max_int)
+    ?(budget = Sat.Budget.unlimited ()) ?obs ?(certify = false) ?(jobs = 1) ~k
+    c tests =
   let jobs = Par.clamp_jobs jobs in
   let found = Atomic.make 0 in
   let states =
@@ -72,9 +56,8 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
         Option.iter (Sat.Solver.attach_obs solver) reg;
         let t0 = Obs.Clock.wall () in
         let inst =
-          Telemetry.phase reg (obs_prefix ^ "/cnf") (fun () ->
-              Encode.Muxed.build ?candidates ?force_zero ~certify ~max_k:k
-                solver c tests)
+          Telemetry.phase reg "hitting/cnf" (fun () ->
+              Encode.Muxed.build ~certify ~max_k:k solver c tests)
         in
         let ban_gate = Hashtbl.create 64 in
         Array.iter
@@ -93,11 +76,8 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
           cnf_time = Obs.Clock.wall () -. t0;
         })
   in
-  let cnf_time =
-    Array.fold_left (fun acc st -> Float.max acc st.cnf_time) 0.0 states
-  in
   let cands = Encode.Muxed.candidate_gates states.(0).inst in
-  Option.iter (fun o -> Obs.begin_event o (obs_prefix ^ "/solve")) obs;
+  Option.iter (fun o -> Obs.begin_event o "hitting/solve") obs;
   let start = Obs.Clock.wall () in
   (* shared enumeration state, touched only on the main domain between
      rounds *)
@@ -132,7 +112,7 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
       Hashtbl.replace conflict_seen cset ();
       conflicts := !conflicts @ [ cset ];
       List.iter (fun g -> Hashtbl.replace freq g (freq_of g + 1)) cset;
-      Telemetry.observe obs (obs_prefix ^ "/core_size") (List.length cset)
+      Telemetry.observe obs "hitting/core_size" (List.length cset)
     end
   in
   (* children only below depth k: a node deeper than k cannot lie on the
@@ -255,7 +235,7 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
       match pop_best () with
       | None -> List.rev acc
       | Some node -> (
-          if List.exists (fun r -> subset r node.path) !solutions then begin
+          if List.exists (fun r -> Solutions.subset r node.path) !solutions then begin
             incr pruned;
             fill acc n
           end
@@ -303,7 +283,7 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
                round already recorded a subset of it *)
             List.iter
               (fun f ->
-                if not (List.exists (fun r -> subset r f) !solutions) then
+                if not (List.exists (fun r -> Solutions.subset r f) !solutions) then
                   record f)
               out.found;
             match out.label with
@@ -321,55 +301,40 @@ let diagnose ?candidates ?force_zero ?(heuristic = Bfs)
     end
   done;
   let all_time = Obs.Clock.wall () -. start in
-  let sols = Solutions.canonical (List.rev !solutions) in
-  let ncalls = Array.fold_left (fun a st -> a + !(st.ncalls)) 0 states in
-  let stats =
-    Array.fold_left
-      (fun a st -> Sat.Solver.add_stats a (Sat.Solver.stats st.solver))
-      Sat.Solver.zero_stats states
-  in
-  let cert_checks =
-    Array.fold_left (fun a st -> a + Encode.Muxed.cert_checks st.inst) 0 states
-  in
-  let cert_failures =
+  let workers =
     Array.to_list states
-    |> List.concat_map (fun st -> Encode.Muxed.cert_failures st.inst)
+    |> List.map (fun st ->
+           {
+             Outcome.empty with
+             solver_calls = !(st.ncalls);
+             stats = Sat.Solver.stats st.solver;
+             cert_checks = Encode.Muxed.cert_checks st.inst;
+             cert_failures = Encode.Muxed.cert_failures st.inst;
+             cnf_time = st.cnf_time;
+           })
+    |> Outcome.sum
   in
-  (match obs with
-  | None -> ()
-  | Some o ->
-      Obs.end_event ~payload:!nsol o (obs_prefix ^ "/solve");
-      if jobs > 1 then begin
-        let regs =
-          Array.to_list states
-          |> List.filter_map (fun st -> st.reg)
-          |> Array.of_list
-        in
-        Obs.merge_children ~into:o regs
-      end;
-      List.iter
-        (fun s -> Obs.observe o (obs_prefix ^ "/solution_size") (List.length s))
-        sols;
-      Telemetry.record_run o ~prefix:obs_prefix ~solutions:!nsol
-        ~solver_calls:ncalls ~truncated:!truncated stats;
-      Obs.add o (obs_prefix ^ "/cores") !cores;
-      Obs.add o (obs_prefix ^ "/nodes") !nodes;
-      Obs.add o (obs_prefix ^ "/reused") !reused;
-      Obs.add o (obs_prefix ^ "/pruned") !pruned;
-      Obs.record_span o (obs_prefix ^ "/cnf") cnf_time;
-      Obs.record_span o (obs_prefix ^ "/solve") all_time);
-  {
-    solutions = sols;
-    cnf_time;
-    one_time = !one_time;
-    all_time;
-    truncated = !truncated;
-    solver_calls = ncalls;
-    cores = !cores;
-    reused = !reused;
-    nodes = !nodes;
-    pruned = !pruned;
-    stats;
-    cert_checks;
-    cert_failures;
-  }
+  let outcome =
+    {
+      workers with
+      solutions = Solutions.canonical (List.rev !solutions);
+      truncated = !truncated;
+      one_time = !one_time;
+      all_time;
+    }
+  in
+  Option.iter
+    (fun o ->
+      Obs.end_event ~payload:!nsol o "hitting/solve";
+      if jobs > 1 then
+        Array.to_list states
+        |> List.filter_map (fun st -> st.reg)
+        |> Array.of_list
+        |> Obs.merge_children ~into:o;
+      Outcome.record o ~prefix:"hitting" outcome;
+      Obs.add o "hitting/cores" !cores;
+      Obs.add o "hitting/nodes" !nodes;
+      Obs.add o "hitting/reused" !reused;
+      Obs.add o "hitting/pruned" !pruned)
+    obs;
+  { outcome; cores = !cores; reused = !reused; nodes = !nodes; pruned = !pruned }

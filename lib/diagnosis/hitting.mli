@@ -32,30 +32,22 @@ type heuristic =
           order children the same way — hits many conflicts early *)
 
 type result = {
-  solutions : int list list;  (** canonical minimal diagnoses *)
-  cnf_time : float;
-  one_time : float;   (** time to the first recorded diagnosis *)
-  all_time : float;
-  truncated : bool;
-  solver_calls : int;
+  outcome : Outcome.t;
+      (** canonical minimal diagnoses ([one_time]: time to the first
+          recorded one), counters and certificates summed over the
+          worker solvers *)
   cores : int;        (** conflict sets extracted from unsat cores *)
   reused : int;       (** node labels served from known conflict sets *)
   nodes : int;        (** HSDAG nodes checked with a solver call *)
   pruned : int;       (** nodes closed without a check (duplicate set,
                           or the set contains a recorded diagnosis) *)
-  stats : Sat.Solver.stats;
-  cert_checks : int;
-  cert_failures : string list;
 }
 
 val diagnose :
-  ?candidates:int list ->
-  ?force_zero:bool ->
   ?heuristic:heuristic ->
   ?max_solutions:int ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
-  ?obs_prefix:string ->
   ?certify:bool ->
   ?jobs:int ->
   k:int ->
@@ -63,8 +55,7 @@ val diagnose :
   Sim.Testgen.test list ->
   result
 (** Enumerate all minimal diagnoses of size [<= k] implicitly, by
-    hitting sets over conflict cores.  Defaults: [heuristic = Bfs],
-    [obs_prefix = "hitting"].
+    hitting sets over conflict cores.  Default [heuristic = Bfs].
 
     [budget] caps total solver effort across every node check, core
     shrink and diagnosis shrink; on exhaustion (or at [max_solutions])
@@ -81,7 +72,7 @@ val diagnose :
     certification: models by evaluation, cores by DRUP).
 
     [obs] records the engine contract's telemetry under
-    ["hitting/..."]: run counters ({!Telemetry.record_run}) plus
+    ["hitting/..."]: the outcome ({!Outcome.record}) plus
     [cores]/[nodes]/[reused]/[pruned], the [core_size] and
     [solution_size] histograms, and [cnf]/[solve] phase events and
     spans. *)

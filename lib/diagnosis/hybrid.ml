@@ -1,11 +1,4 @@
-type guided_result = {
-  solutions : int list list;
-  plain_stats : Sat.Solver.stats;
-  guided_stats : Sat.Solver.stats;
-  plain_time : float;
-  guided_time : float;
-  truncated : bool;
-}
+type guided_result = { plain : Outcome.t; guided : Outcome.t }
 
 let guided ?max_solutions ?budget ?obs ?jobs ~k c tests =
   let bsim = Bsim.diagnose ?jobs c tests in
@@ -29,14 +22,7 @@ let guided ?max_solutions ?budget ?obs ?jobs ~k c tests =
     Bsat.diagnose ~hints ?max_solutions ?budget ?obs ?jobs
       ~obs_prefix:"hybrid/guided" ~k c tests
   in
-  {
-    solutions = guided.Bsat.solutions;
-    plain_stats = plain.Bsat.stats;
-    guided_stats = guided.Bsat.stats;
-    plain_time = plain.Bsat.all_time;
-    guided_time = guided.Bsat.all_time;
-    truncated = plain.Bsat.truncated || guided.Bsat.truncated;
-  }
+  { plain; guided }
 
 type repair_result = {
   seed : int list;
@@ -46,12 +32,7 @@ type repair_result = {
   added : int;
 }
 
-type repair_outcome = {
-  repaired : repair_result option;
-  exhausted : bool;
-  cert_checks : int;
-  cert_failures : string list;
-}
+type repair_outcome = { repaired : repair_result option; outcome : Outcome.t }
 
 let repair ?marks ?(budget = Sat.Budget.unlimited ()) ?obs ?(certify = false)
     ?jobs ~k ~seed c tests =
@@ -64,8 +45,11 @@ let repair ?marks ?(budget = Sat.Budget.unlimited ()) ?obs ?(certify = false)
     | Some m -> m
     | None -> (Bsim.diagnose ?jobs c tests).Bsim.marks
   in
+  let t0 = Obs.Clock.wall () in
   let solver = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~certify ~max_k:k solver c tests in
+  let cnf_time = Obs.Clock.wall () -. t0 in
+  let calls = ref 0 in
   let is_candidate g =
     match Encode.Muxed.select_lit inst g with
     | _ -> true
@@ -80,16 +64,33 @@ let repair ?marks ?(budget = Sat.Budget.unlimited ()) ?obs ?(certify = false)
     List.filteri (fun i _ -> i < k) ordered_seed
   in
   let finish repaired ~exhausted =
-    {
-      repaired;
-      exhausted;
-      cert_checks = Encode.Muxed.cert_checks inst;
-      cert_failures = Encode.Muxed.cert_failures inst;
-    }
+    let all_time = Obs.Clock.wall () -. t0 -. cnf_time in
+    let outcome =
+      {
+        Outcome.solutions =
+          Option.to_list (Option.map (fun r -> r.correction) repaired);
+        truncated = exhausted;
+        solver_calls = !calls;
+        stats = Sat.Solver.stats solver;
+        cert_checks = Encode.Muxed.cert_checks inst;
+        cert_failures = Encode.Muxed.cert_failures inst;
+        cnf_time;
+        one_time = (if repaired = None then 0.0 else all_time);
+        all_time;
+      }
+    in
+    { repaired; outcome }
   in
   let rec attempt kept =
     let extra = List.map (Encode.Muxed.select_lit inst) kept in
-    match Encode.Muxed.solve_at_most_limited ~extra ~budget inst k with
+    let answer =
+      if Sat.Budget.exhausted budget then Sat.Solver.Unknown
+      else begin
+        incr calls;
+        Encode.Muxed.solve_at_most_limited ~extra ~budget inst k
+      end
+    in
+    match answer with
     | Sat.Solver.Unknown -> finish None ~exhausted:true
     | Sat.Solver.Solved Sat.Solver.Sat ->
         let sol = Encode.Muxed.solution inst in

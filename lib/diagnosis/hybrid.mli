@@ -13,12 +13,8 @@
     shrunk to essential candidates. *)
 
 type guided_result = {
-  solutions : int list list;
-  plain_stats : Sat.Solver.stats;
-  guided_stats : Sat.Solver.stats;
-  plain_time : float;
-  guided_time : float;
-  truncated : bool;  (** either run hit its budget or solution cap *)
+  plain : Outcome.t;  (** plain BSAT *)
+  guided : Outcome.t;  (** BSIM-guided BSAT: the same solutions *)
 }
 
 val guided :
@@ -30,9 +26,9 @@ val guided :
   Netlist.Circuit.t ->
   Sim.Testgen.test list ->
   guided_result
-(** Runs plain BSAT and BSIM-guided BSAT on the same workload and reports
-    both runtimes/solver statistics; the solutions (from the guided run)
-    are identical to plain BSAT's by construction.
+(** Runs plain BSAT and BSIM-guided BSAT on the same workload and returns
+    both runs; the guided run's solutions are identical to plain BSAT's
+    by construction whenever neither run is truncated.
 
     [budget] caps the guided run; the plain run burns a
     {!Sat.Budget.clone} so both comparands get the same allowance.
@@ -50,12 +46,13 @@ type repair_result = {
 type repair_outcome = {
   repaired : repair_result option;
       (** [None] when no valid correction of size <= k extends any seed
-          suffix — or when the budget died mid-repair (see
-          [exhausted]): a truncated repair is not a correction *)
-  exhausted : bool;
-      (** the [budget] ran out before the search concluded *)
-  cert_checks : int;  (** solver answers verified (with [~certify]) *)
-  cert_failures : string list;
+          suffix — or when the budget died mid-repair (the outcome is
+          then [truncated]): a truncated repair is not a correction *)
+  outcome : Outcome.t;
+      (** the ladder's run: [solutions] is the final correction (or
+          none), [truncated] that the [budget] ran out before the search
+          concluded, [solver_calls] the ladder's solves, and the
+          certificates of its answers (with [~certify]) *)
 }
 
 val repair :

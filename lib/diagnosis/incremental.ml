@@ -4,48 +4,25 @@ type t = {
   k : int;
   mutable obs : Obs.t option;
   circuit : Netlist.Circuit.t;
-  force_zero : bool option;
   certify : bool;
   mutable tests : Sim.Testgen.test list;  (* accumulated, in arrival order *)
-  mutable last_truncated : bool;
   mutable retired : bool;
-  (* portfolio runs bypass the live instance; their certification
-     outcomes accumulate here instead *)
-  mutable portfolio_checks : int;
-  mutable portfolio_failures : string list;
   (* the essential set of the last complete (untruncated) enumeration
      and the number of tests it was enumerated for *)
   mutable carried : (int list list * int) option;
-  mutable reused : int;
-  mutable revalidated : int;
-  mutable solver_calls : int;
 }
 
-let create ?force_zero ?obs ?(certify = false) ~k c tests =
+type result = { outcome : Outcome.t; reused : int; revalidated : int }
+
+let create ?obs ?(certify = false) ~k c tests =
   let solver = Sat.Solver.create () in
   Option.iter (Sat.Solver.attach_obs ~prefix:"incremental" solver) obs;
   let inst =
     Telemetry.phase obs "incremental/cnf" (fun () ->
-        Encode.Muxed.build ?force_zero ~certify ~max_k:k solver c tests)
+        Encode.Muxed.build ~certify ~max_k:k solver c tests)
   in
-  {
-    solver;
-    inst;
-    k;
-    obs;
-    circuit = c;
-    force_zero;
-    certify;
-    tests;
-    last_truncated = false;
-    retired = false;
-    portfolio_checks = 0;
-    portfolio_failures = [];
-    carried = None;
-    reused = 0;
-    revalidated = 0;
-    solver_calls = 0;
-  }
+  { solver; inst; k; obs; circuit = c; certify; tests; retired = false;
+    carried = None }
 
 let check_live t ~what =
   if t.retired then
@@ -90,20 +67,21 @@ let add_tests t tests =
 
 let num_tests t = Encode.Muxed.num_tests t.inst
 
-(* The carried corrections that still hold, and the first level of the
-   level loop that can hold a new essential: [([], 1)] enumerates from
-   scratch, a level above [k] needs no search.  Validity is per test
+(* The carried corrections that still hold, the first level of the
+   level loop that can hold a new essential, and how many carried
+   corrections were re-checked: [([], 1, 0)] enumerates from scratch, a
+   level above [k] needs no search.  Validity is per test
    (each copy has its own correction values), so a correction that was
    essential for the old tests and repairs every new test is essential
    for the grown set; every other essential of the grown set strictly
    contains an old essential that failed a new test. *)
 let carry t ~max_solutions ~budget =
-  let scratch = ([], 1) in
+  let scratch = ([], 1, 0) in
   match t.carried with
   | None -> scratch
   | Some _ when Sat.Budget.exhausted budget -> scratch
   | Some (sols, _) when List.length sols >= max_solutions -> scratch
-  | Some (sols, n) when n = num_tests t -> (sols, t.k + 1)
+  | Some (sols, n) when n = num_tests t -> (sols, t.k + 1, 0)
   (* growth: a certified context re-proves every answer on the full
      test set; [check_sim] enumerates 2^|C| values per test *)
   | Some _ when t.certify || t.k > 16 -> scratch
@@ -111,27 +89,12 @@ let carry t ~max_solutions ~budget =
       let fresh = List.filteri (fun i _ -> i >= n) t.tests in
       Telemetry.instant t.obs ~payload:(List.length fresh)
         "incremental/revalidate";
-      t.revalidated <- t.revalidated + List.length sols;
       let survivors, failed =
         List.partition (Validity.check_sim t.circuit fresh) sols
       in
       ( survivors,
-        List.fold_left (fun m s -> min m (List.length s + 1)) (t.k + 1) failed
-      )
-
-(* jobs > 1: the live solver cannot be shared across domains, so the
-   portfolio solves the accumulated workload on fresh per-worker
-   instances ({!Bsat.diagnose}) and leaves the live instance untouched —
-   the enumerated set is the same, the learned-clause reuse is not. *)
-let solutions_portfolio ~max_solutions ~budget ~jobs t =
-  let r =
-    Bsat.diagnose ?force_zero:t.force_zero ~max_solutions ~budget
-      ~certify:t.certify ~jobs ~k:t.k t.circuit t.tests
-  in
-  t.solver_calls <- t.solver_calls + r.Bsat.solver_calls;
-  t.portfolio_checks <- t.portfolio_checks + r.Bsat.cert_checks;
-  t.portfolio_failures <- t.portfolio_failures @ r.Bsat.cert_failures;
-  (r.Bsat.solutions, r.Bsat.truncated)
+        List.fold_left (fun m s -> min m (List.length s + 1)) (t.k + 1) failed,
+        List.length sols )
 
 (* Fig. 3's level loop on the live instance, from level [first] up,
    with the [survivors] already blocked and counted as found *)
@@ -149,40 +112,57 @@ let solutions_live ~max_solutions ~budget ~survivors ~first t =
   (* retire the guard permanently — through the instance's emit hook so
      the certification checker sees the unit clause too *)
   Encode.Muxed.assert_clause t.inst [ Sat.Lit.negate active ];
-  t.solver_calls <- t.solver_calls + r.Enumerate.calls;
-  (Solutions.canonical (survivors @ r.Enumerate.found), r.Enumerate.truncated)
+  {
+    Outcome.empty with
+    solutions = Solutions.canonical (survivors @ r.Enumerate.found);
+    truncated = r.Enumerate.truncated;
+    solver_calls = r.Enumerate.calls;
+  }
 
 let solutions ?(max_solutions = max_int) ?(budget = Sat.Budget.unlimited ())
     ?(jobs = 1) t =
   check_live t ~what:"solutions";
   let jobs = Par.clamp_jobs jobs in
-  let survivors, first = carry t ~max_solutions ~budget in
-  let sols, truncated =
+  let t0 = Obs.Clock.wall () in
+  let st0 = Sat.Solver.stats t.solver in
+  let checks0 = Encode.Muxed.cert_checks t.inst in
+  let failures0 = List.length (Encode.Muxed.cert_failures t.inst) in
+  let survivors, first, revalidated = carry t ~max_solutions ~budget in
+  let outcome, reused =
     if jobs > 1 && first <= t.k then
-      solutions_portfolio ~max_solutions ~budget ~jobs t
+      (* the live solver cannot be shared across domains: the portfolio
+         solves the accumulated workload on fresh per-worker instances
+         and leaves the live instance untouched — the enumerated set is
+         the same, the learned-clause reuse is not *)
+      ( Bsat.diagnose ~max_solutions ~budget ~certify:t.certify ~jobs ~k:t.k
+          t.circuit t.tests,
+        0 )
     else
       Telemetry.phase t.obs "incremental/solve"
-        ~payload:(fun (s, _) -> List.length s)
+        ~payload:(fun (o, _) -> List.length o.Outcome.solutions)
       @@ fun () ->
-      t.reused <- t.reused + List.length survivors;
-      if first > t.k then (survivors, false)
-      else solutions_live ~max_solutions ~budget ~survivors ~first t
+      ( (if first > t.k then { Outcome.empty with solutions = survivors }
+         else solutions_live ~max_solutions ~budget ~survivors ~first t),
+        List.length survivors )
   in
-  t.last_truncated <- truncated;
-  if not truncated then t.carried <- Some (sols, num_tests t);
-  sols
-
-let last_truncated t = t.last_truncated
+  (* this call's share of the live solver's lifetime counters; [learned]
+     is a gauge (clauses currently in the database), reported as-is *)
+  let st = Sat.Solver.stats t.solver in
+  let outcome =
+    {
+      outcome with
+      stats = { (Sat.Solver.map2_stats ( - ) st st0) with learned = st.learned };
+      cert_checks =
+        outcome.cert_checks + Encode.Muxed.cert_checks t.inst - checks0;
+      cert_failures =
+        outcome.cert_failures
+        @ List.filteri (fun i _ -> i >= failures0)
+            (Encode.Muxed.cert_failures t.inst);
+      all_time = Obs.Clock.wall () -. t0;
+    }
+  in
+  if not outcome.truncated then
+    t.carried <- Some (outcome.solutions, num_tests t);
+  { outcome; reused; revalidated }
 
 let stats t = Sat.Solver.stats t.solver
-
-let reused t = t.reused
-
-let revalidated t = t.revalidated
-
-let solver_calls t = t.solver_calls
-
-let cert_checks t = t.portfolio_checks + Encode.Muxed.cert_checks t.inst
-
-let cert_failures t =
-  t.portfolio_failures @ Encode.Muxed.cert_failures t.inst

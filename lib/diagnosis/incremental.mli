@@ -18,8 +18,22 @@
 
 type t
 
+type result = {
+  outcome : Outcome.t;
+      (** this call's answer and effort: [stats] is the live solver's
+          counter delta over the call ([learned] is the gauge, as-is) —
+          all zero under the [jobs > 1] portfolio, which bypasses the
+          live solver — and [solver_calls], [cert_checks] and
+          [cert_failures] are this call's own; [all_time] is the call's
+          wall time, the other times 0 on the live instance *)
+  reused : int;
+      (** solutions answered from the carried answer, without a solver
+          search *)
+  revalidated : int;
+      (** carried solutions re-checked by simulation against new tests *)
+}
+
 val create :
-  ?force_zero:bool ->
   ?obs:Obs.t ->
   ?certify:bool ->
   k:int ->
@@ -29,7 +43,8 @@ val create :
 (** [certify] verifies every solver answer on the live instance
     ({!Encode.Muxed.build}'s certification mode) — including clauses
     added later by {!add_tests} and the guarded blocking clauses, which
-    the checker receives through the same emit hook; see {!cert_checks}.
+    the checker receives through the same emit hook; each {!solutions}
+    call reports its own checks.
 
     [obs] attaches the live solver's per-conflict histograms under
     ["incremental/..."] ({!Sat.Solver.attach_obs}) and emits
@@ -53,8 +68,8 @@ val retire : t -> unit
     eviction): detaches telemetry and marks the context dead —
     subsequent {!add_tests}, {!solutions} or {!attach} calls raise
     [Invalid_argument].  Idempotent.  Read-only accessors ({!stats},
-    {!num_tests}, {!cert_checks}, …) keep working so a server can log a
-    context's final state after eviction. *)
+    {!num_tests}) keep working so a server can log a context's final
+    state after eviction. *)
 
 val retired : t -> bool
 
@@ -73,7 +88,7 @@ val fail_next_add_tests : after:int -> unit
 val num_tests : t -> int
 
 val solutions :
-  ?max_solutions:int -> ?budget:Sat.Budget.t -> ?jobs:int -> t -> int list list
+  ?max_solutions:int -> ?budget:Sat.Budget.t -> ?jobs:int -> t -> result
 (** Enumerate the essential valid corrections for the *current* test
     set (Fig. 3's incremental-k loop on the live instance), in canonical
     (cardinality, lexicographic) order.
@@ -89,48 +104,24 @@ val solutions :
     from scratch — when [budget] is already exhausted, when the carried
     set has [max_solutions] or more corrections, and, for growth, in a
     [certify] context (every reported correction then stays backed by a
-    checked solver answer on the full test set) or when [k] > 16.  See
-    {!reused} and {!revalidated}.
+    checked solver answer on the full test set) or when [k] > 16.  The
+    result's [reused] and [revalidated] count the carried corrections
+    this call used.
 
     [budget] caps total solver effort and [max_solutions] the
     enumeration length; when either cuts the run short the prefix found
-    so far is returned and {!last_truncated} reports [true] (consistent
-    with {!Bsat.diagnose}'s [truncated]).  The instance stays usable —
-    blocking clauses for the returned solutions are retired as usual.
+    so far is returned, flagged [truncated] (consistent with
+    {!Bsat.diagnose}).  The instance stays usable — blocking clauses
+    for the returned solutions are retired as usual.
 
     [jobs] > 1 enumerates the same solution set with a solver portfolio
     ({!Bsat.diagnose}) over fresh per-worker instances built from the
     accumulated workload: a live solver cannot be shared across domains,
     so the parallel path trades the learned-clause reuse for the
-    portfolio.  The live instance (and {!stats}) is untouched;
-    {!last_truncated} reflects the portfolio run.  A carried answer that
-    settles the request without search (a repeat, or growth where no
-    carried correction that failed is smaller than [k]) is returned
-    without the portfolio. *)
-
-val last_truncated : t -> bool
-(** Whether the most recent {!solutions} call was cut short by its
-    budget or solution cap (initially [false]). *)
+    portfolio.  The live instance (and {!stats}) is untouched.  A
+    carried answer that settles the request without search (a repeat,
+    or growth where no carried correction that failed is smaller than
+    [k]) is returned without the portfolio. *)
 
 val stats : t -> Sat.Solver.stats
-
-val reused : t -> int
-(** Solutions answered from a carried answer over the context's
-    lifetime, without a solver search. *)
-
-val revalidated : t -> int
-(** Carried solutions re-checked by simulation against new tests over
-    the context's lifetime. *)
-
-val solver_calls : t -> int
-(** Enumeration solver calls over the context's lifetime, portfolio
-    runs included. *)
-
-val cert_checks : t -> int
-(** With [certify]: answers verified over the instance's lifetime —
-    live-instance checks plus any portfolio runs' checks (0 without
-    [certify]). *)
-
-val cert_failures : t -> string list
-(** With [certify]: accumulated verification failures, oldest first
-    ([[]] on a healthy build). *)
+(** The live solver's lifetime counters. *)

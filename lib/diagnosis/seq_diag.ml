@@ -1,15 +1,7 @@
 module Sequential = Sim.Sequential
 module Circuit = Netlist.Circuit
 
-type result = {
-  solutions : int list list;
-  frames : int;
-  cnf_time : float;
-  one_time : float;
-  all_time : float;
-  truncated : bool;
-  solver_calls : int;
-}
+type result = { outcome : Outcome.t; frames : int }
 
 let frames_of_tests tests =
   match tests with
@@ -66,16 +58,21 @@ let diagnose_bsat ?(max_solutions = max_int)
     Enumerate.levels ~found:(Atomic.make 0) ~max_solutions ~budget ~k
       (Enumerate.muxed inst)
   in
-  {
-    solutions = r.Enumerate.found;
-    frames;
-    cnf_time;
-    one_time =
-      (if r.Enumerate.found = [] then 0.0 else r.Enumerate.first_at -. start);
-    all_time = Obs.Clock.wall () -. start;
-    truncated = r.Enumerate.truncated;
-    solver_calls = r.Enumerate.calls;
-  }
+  let outcome =
+    {
+      Outcome.solutions = r.Enumerate.found;
+      truncated = r.Enumerate.truncated;
+      solver_calls = r.Enumerate.calls;
+      stats = Sat.Solver.stats solver;
+      cert_checks = 0;
+      cert_failures = [];
+      cnf_time;
+      one_time =
+        (if r.Enumerate.found = [] then 0.0 else r.Enumerate.first_at -. start);
+      all_time = Obs.Clock.wall () -. start;
+    }
+  in
+  { outcome; frames }
 
 (* Frame f>0 copies of state bits are Buf gates the tracer may mark; they
    fold back to core pseudo-inputs, which are not correction sites. *)

@@ -9,13 +9,10 @@
     frame), so the at-most-k bound counts *core* gates. *)
 
 type result = {
-  solutions : int list list;   (** core gate ids, essential, valid *)
+  outcome : Outcome.t;
+      (** solutions are core gate ids, essential and valid, in discovery
+          order; no certification *)
   frames : int;
-  cnf_time : float;
-  one_time : float;
-  all_time : float;
-  truncated : bool;
-  solver_calls : int;  (** SAT oracle invocations *)
 }
 
 val diagnose_bsat :

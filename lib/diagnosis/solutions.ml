@@ -4,7 +4,6 @@ let compare_solution a b =
 let canonical sols =
   List.sort_uniq compare_solution (List.map (List.sort Int.compare) sols)
 
-(* both lists sorted ascending *)
 let rec subset a b =
   match (a, b) with
   | [], _ -> true

@@ -15,6 +15,9 @@ val canonical : int list list -> int list list
 (** Sort each solution's members ascending, then sort the list of
     solutions with {!compare_solution}, dropping exact duplicates. *)
 
+val subset : int list -> int list -> bool
+(** [subset a b]: every member of [a] is in [b]; both sorted ascending. *)
+
 val minimal_only : int list list -> int list list
 (** Keep only the inclusion-minimal solutions: drop every solution that
     strictly contains another solution of the list.  Expects (and

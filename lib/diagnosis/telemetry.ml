@@ -3,13 +3,6 @@ let record_solver_stats obs ~prefix st =
     (fun (name, v) -> Obs.add obs (prefix ^ "/" ^ name) v)
     (Sat.Solver.stats_fields st)
 
-let record_run obs ~prefix ~solutions ~solver_calls ~truncated
-    (st : Sat.Solver.stats) =
-  record_solver_stats obs ~prefix st;
-  Obs.add obs (prefix ^ "/solutions") solutions;
-  Obs.add obs (prefix ^ "/solver_calls") solver_calls;
-  Obs.add obs (prefix ^ "/truncated") (if truncated then 1 else 0)
-
 let phase obs name ?payload f =
   match obs with
   | None -> f ()

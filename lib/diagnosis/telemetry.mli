@@ -11,17 +11,6 @@ val record_solver_stats : Obs.t -> prefix:string -> Sat.Solver.stats -> unit
 (** Accumulate decisions/propagations/conflicts/restarts/learned/
     learned_total/deleted under ["prefix/..."] counters. *)
 
-val record_run :
-  Obs.t ->
-  prefix:string ->
-  solutions:int ->
-  solver_calls:int ->
-  truncated:bool ->
-  Sat.Solver.stats ->
-  unit
-(** [record_solver_stats] plus the per-run counters ["prefix/solutions"],
-    ["prefix/solver_calls"] and ["prefix/truncated"] (0/1). *)
-
 val phase : Obs.t option -> string -> ?payload:('a -> int) -> (unit -> 'a) -> 'a
 (** [phase obs name f] brackets the thunk with [Begin]/[End] events when
     a registry is present (and is [f ()] otherwise).  The [End] event

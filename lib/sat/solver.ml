@@ -833,8 +833,11 @@ let gc_arena s =
    Normalizes against the root assignment — inprocessing propagation may
    have assigned some of its literals since the codes were computed, and
    a watched root-false literal would never be woken again.  Emits no
-   Add step; only a root conflict surfaces in the proof (as the empty
-   clause, a genuine RUP consequence at that point).  When [occs] is
+   Add step for the clause as given.  A clause shortened by dropping
+   root-false literals is logged as Add-shortened, Delete-original, so a
+   later deletion names a clause the checker holds; a clause reduced to
+   a unit is never stored (so never deleted), and its unit and a root
+   conflict (the empty clause) are RUP at that point.  When [occs] is
    given, the fresh clause joins the occurrence lists so later passes
    see the complete live database. *)
 let install_simplified s codes ~learnt ~act occs =
@@ -861,6 +864,10 @@ let install_simplified s codes ~learnt ~act occs =
           end
       | lits ->
           let arr = Array.of_list lits in
+          if Array.length arr < Array.length codes then begin
+            proof_add s arr;
+            proof_delete s codes
+          end;
           let cr = alloc_clause s arr ~learnt in
           s.acts.(cr) <- act;
           ivec_push (if learnt then s.learnts else s.clauses) cr;

@@ -229,7 +229,7 @@ let solution_names circuit sol =
     (List.map (fun g -> J.String circuit.Netlist.Circuit.names.(g)) sol)
 
 let diagnose_response ~(d : Protocol.diagnose) ~ckey ~warm ~faulty ~injected
-    ~ntests ~k (o : Engine.outcome) =
+    ~ntests ~k ?stats (o : Diagnosis.Outcome.t) =
   let fields =
     [
       ("op", J.String "diagnose");
@@ -237,8 +237,8 @@ let diagnose_response ~(d : Protocol.diagnose) ~ckey ~warm ~faulty ~injected
       ("warm", J.Bool warm);
       ("tests", J.Int ntests);
       ("k", J.Int k);
-      ("solutions", J.Arr (List.map (solution_names faulty) o.Engine.solutions));
-      ("truncated", J.Bool o.Engine.truncated);
+      ("solutions", J.Arr (List.map (solution_names faulty) o.solutions));
+      ("truncated", J.Bool o.truncated);
     ]
     @ (match injected with
       | [] -> []
@@ -246,30 +246,23 @@ let diagnose_response ~(d : Protocol.diagnose) ~ckey ~warm ~faulty ~injected
           [ ("injected", solution_names faulty (Sim.Fault.sites errs)) ])
     @ (if d.Protocol.certify then
          [
-           ("cert_checks", J.Int o.Engine.cert_checks);
+           ("cert_checks", J.Int o.cert_checks);
            ( "cert_failures",
-             J.Arr (List.map (fun s -> J.String s) o.Engine.cert_failures) );
+             J.Arr (List.map (fun s -> J.String s) o.cert_failures) );
          ]
        else [])
-    @ match o.Engine.stats with Some s -> [ ("stats", s) ] | None -> []
+    @ match stats with Some s -> [ ("stats", s) ] | None -> []
   in
   Protocol.ok ?id:d.Protocol.id fields
 
-let empty_outcome =
-  {
-    Engine.solutions = [];
-    truncated = false;
-    cert_checks = 0;
-    cert_failures = [];
-    conflicts = 0;
-    reused = 0;
-    revalidated = 0;
-    stats = None;
-  }
+(* the effort of a request that ran no engine *)
+let no_effort =
+  { Diagnosis.Incremental.outcome = Diagnosis.Outcome.empty; reused = 0;
+    revalidated = 0 }
 
 let empty_response ~(d : Protocol.diagnose) ~ckey ~warm ~faulty ~injected ~k =
   diagnose_response ~d ~ckey ~warm ~faulty ~injected ~ntests:0 ~k
-    empty_outcome
+    Diagnosis.Outcome.empty
 
 (* what [serve_one] hands back to the scheduler, beyond the response:
    the per-request effort and (when tracing) the captured engine events
@@ -277,7 +270,7 @@ let empty_response ~(d : Protocol.diagnose) ~ckey ~warm ~faulty ~injected ~k =
 type served_one = {
   sr_resp : J.t;
   sr_warm : bool;
-  sr_effort : Engine.outcome;  (* solutions dropped; see [run_engine] *)
+  sr_effort : Diagnosis.Incremental.result;
   sr_nevents : int;
   sr_events : Obs.event list;
 }
@@ -290,14 +283,18 @@ let serve_one ~tracing registry ctx (d : Protocol.diagnose) =
      [stats:true], so responses are unchanged by tracing *)
   let want_obs = d.Protocol.stats || tracing in
   let obs = if want_obs then Some registry else None in
-  let effort = ref empty_outcome in
+  let effort = ref no_effort in
   let run_engine inc =
-    let o =
+    let r =
       Engine.run ?obs ?budget:d.Protocol.budget
         ~max_solutions:d.Protocol.max_solutions inc
     in
-    effort := { o with Engine.solutions = []; stats = None };
-    if d.Protocol.stats then o else { o with Engine.stats = None }
+    effort := r;
+    let stats =
+      if d.Protocol.stats then Some (Obs.to_json ~times:false registry)
+      else None
+    in
+    (r.Diagnosis.Incremental.outcome, stats)
   in
   let faulty = ensure_faulty ctx in
   let m = max 0 d.Protocol.tests in
@@ -326,9 +323,10 @@ let serve_one ~tracing registry ctx (d : Protocol.diagnose) =
         end
         else Option.iter Diagnosis.Incremental.retire inc;
         match outcomes with
-        | [ o ] ->
+        | [ (o, stats) ] ->
             ( diagnose_response ~d ~ckey:ctx.ckey ~warm:false ~faulty
-                ~injected:ctx.injected ~ntests:(List.length tests) ~k:ctx.k o,
+                ~injected:ctx.injected ~ntests:(List.length tests) ~k:ctx.k
+                ?stats o,
               false )
         | _ ->
             ( empty_response ~d ~ckey:ctx.ckey ~warm:false ~faulty
@@ -349,9 +347,10 @@ let serve_one ~tracing registry ctx (d : Protocol.diagnose) =
           ctx.tests <- full;
           ctx.wanted <- m
         end;
-        let o = run_engine inc in
+        let o, stats = run_engine inc in
         ( diagnose_response ~d ~ckey:ctx.ckey ~warm:true ~faulty
-            ~injected:ctx.injected ~ntests:(List.length ctx.tests) ~k:ctx.k o,
+            ~injected:ctx.injected ~ntests:(List.length ctx.tests) ~k:ctx.k
+            ?stats o,
           true )
     | Some _ -> (
         (* shrinking the test count cannot reuse the live instance
@@ -360,9 +359,10 @@ let serve_one ~tracing registry ctx (d : Protocol.diagnose) =
         let inc, outcomes, tests = run_cold () in
         Option.iter Diagnosis.Incremental.retire inc;
         match outcomes with
-        | [ o ] ->
+        | [ (o, stats) ] ->
             ( diagnose_response ~d ~ckey:ctx.ckey ~warm:false ~faulty
-                ~injected:ctx.injected ~ntests:(List.length tests) ~k:ctx.k o,
+                ~injected:ctx.injected ~ntests:(List.length tests) ~k:ctx.k
+                ?stats o,
               false )
         | _ ->
             ( empty_response ~d ~ckey:ctx.ckey ~warm:false ~faulty
@@ -405,7 +405,7 @@ type measure = {
   m_dispatch : float;
   m_finish : float;
   m_gc_words : int;
-  m_effort : Engine.outcome;
+  m_effort : Diagnosis.Incremental.result;
   m_nevents : int;
   m_events : Obs.event list;
 }
@@ -452,10 +452,12 @@ let work_one ~tracing registry ctx (idx, d, trace_id, enqueue) =
         m_dispatch = dispatch;
         m_finish = Obs.Clock.wall ();
         m_gc_words = 0;
-        m_effort = empty_outcome;
+        m_effort = no_effort;
         m_nevents = 0;
         m_events = [];
       }
+
+let conflicts m = m.m_effort.outcome.stats.Sat.Solver.conflicts
 
 let micros dt = int_of_float (Float.max 0.0 dt *. 1e6)
 
@@ -474,9 +476,9 @@ let account t w m =
       Obs.Sketch.observe (if warm then t.queue_warm else t.queue_cold)
         queue_us;
       Obs.Sketch.observe t.gc_alloc m.m_gc_words;
-      Obs.Sketch.observe t.req_conflicts m.m_effort.Engine.conflicts;
-      Obs.add t.mobs "incremental/reused" m.m_effort.Engine.reused;
-      Obs.add t.mobs "incremental/revalidated" m.m_effort.Engine.revalidated;
+      Obs.Sketch.observe t.req_conflicts (conflicts m);
+      Obs.add t.mobs "incremental/reused" m.m_effort.reused;
+      Obs.add t.mobs "incremental/revalidated" m.m_effort.revalidated;
       Obs.Sketch.observe t.req_events m.m_nevents;
       Obs.Rolling.note t.req_rate ~now:(rate_now t m.m_finish);
       (match t.slow_ms with
@@ -491,7 +493,7 @@ let account t w m =
                    ("warm", J.Bool warm);
                    ("latency_us", J.Int latency_us);
                    ("queue_wait_us", J.Int queue_us);
-                   ("conflicts", J.Int m.m_effort.Engine.conflicts);
+                   ("conflicts", J.Int (conflicts m));
                    ("events", J.Int m.m_nevents);
                  ])
             "serve/slow"

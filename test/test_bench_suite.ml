@@ -64,14 +64,14 @@ let test_runner_row_consistency () =
         (List.length r.Bench_suite.Runner.cov_solutions)
         r.Bench_suite.Runner.cov_q.Diagnosis.Metrics.count;
       Alcotest.(check int) "bsat count"
-        (List.length r.Bench_suite.Runner.bsat_solutions)
+        (List.length r.Bench_suite.Runner.bsat.solutions)
         r.Bench_suite.Runner.bsat_q.Diagnosis.Metrics.count;
       (* single error: BSAT must find the real site *)
       Alcotest.(check bool) "site found" true
         (List.exists
            (fun s ->
              List.exists (fun g -> List.mem g r.Bench_suite.Runner.error_sites) s)
-           r.Bench_suite.Runner.bsat_solutions))
+           r.Bench_suite.Runner.bsat.solutions))
     rows
 
 let test_runner_m_monotone () =
@@ -344,6 +344,27 @@ let test_baseline_malformed () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "baseline without a report field accepted"
 
+(* ---------- certificates on a paper workload ---------- *)
+
+(* Certified BSAT on the quick-scale g1423 cell with 8 tests runs into
+   the solver's inprocessing rounds, where a re-installed clause loses
+   root-false literals; its later deletion must name a clause the DRUP
+   checker holds.  Every one of the 1077 answers must check. *)
+let test_certified_g1423 () =
+  let spec =
+    List.find
+      (fun s -> s.Bench_suite.Workload.label = "g1423")
+      (Bench_suite.Workload.paper_specs ~scale:0.12)
+  in
+  let w = Bench_suite.Workload.prepare spec in
+  let tests = List.filteri (fun i _ -> i < 8) w.Bench_suite.Workload.tests in
+  let r =
+    Diagnosis.Bsat.diagnose ~certify:true ~max_solutions:2000 ~k:4
+      w.Bench_suite.Workload.faulty tests
+  in
+  Alcotest.(check int) "solver answers checked" 1077 r.cert_checks;
+  Alcotest.(check (list string)) "no certificate failure" [] r.cert_failures
+
 let () =
   Alcotest.run "bench_suite"
     [
@@ -393,4 +414,7 @@ let () =
             test_baseline_prunes_to_selected;
           Alcotest.test_case "malformed" `Quick test_baseline_malformed;
         ] );
+      ( "certificates",
+        [ Alcotest.test_case "certified g1423 m=8" `Quick test_certified_g1423 ]
+      );
     ]

@@ -21,6 +21,11 @@ let workload seed p =
   in
   (golden, faulty, errors, tests)
 
+(* one incremental call's outcome *)
+let inc_solve ?max_solutions ?budget ?jobs inc =
+  (Diagnosis.Incremental.solutions ?max_solutions ?budget ?jobs inc)
+    .Diagnosis.Incremental.outcome
+
 let workload_gen =
   QCheck.make
     ~print:(fun (s, p) -> Printf.sprintf "seed=%d p=%d" s p)
@@ -453,38 +458,37 @@ let test_hybrid_budget_truncates () =
   let budget = Sat.Budget.create ~propagations:500 () in
   let h = Diagnosis.Hybrid.guided ~budget ~k:2 faulty tests in
   Alcotest.(check bool) "guided run truncated" true
-    h.Diagnosis.Hybrid.truncated;
+    h.Diagnosis.Hybrid.guided.truncated;
   List.iter
     (fun sol ->
       Alcotest.(check bool) "partial solution valid" true
         (Diagnosis.Validity.check_sim faulty tests sol))
-    h.Diagnosis.Hybrid.solutions
+    h.Diagnosis.Hybrid.guided.solutions
 
 let test_hybrid_repair_exhausted_budget () =
   let _, faulty, _, tests = workload 26 1 in
   let budget = Sat.Budget.create ~conflicts:0 () in
   let out = Diagnosis.Hybrid.repair ~budget ~k:1 ~seed:[] faulty tests in
   Alcotest.(check bool) "exhausted budget aborts the repair" true
-    (out.Diagnosis.Hybrid.repaired = None && out.Diagnosis.Hybrid.exhausted)
+    (out.Diagnosis.Hybrid.repaired = None
+    && out.Diagnosis.Hybrid.outcome.truncated)
 
 let test_incremental_budget () =
   let _, faulty, _, tests = workload 27 2 in
   let inc = Diagnosis.Incremental.create ~k:2 faulty tests in
   let budget = Sat.Budget.create ~propagations:500 () in
-  let partial = Diagnosis.Incremental.solutions ~budget inc in
-  Alcotest.(check bool) "flagged truncated" true
-    (Diagnosis.Incremental.last_truncated inc);
+  let partial = inc_solve ~budget inc in
+  Alcotest.(check bool) "flagged truncated" true partial.truncated;
   List.iter
     (fun sol ->
       Alcotest.(check bool) "partial solution valid" true
         (Diagnosis.Validity.check_sim faulty tests sol))
-    partial;
+    partial.solutions;
   (* the instance survives: an unbudgeted enumeration completes *)
-  let full = Diagnosis.Incremental.solutions inc in
-  Alcotest.(check bool) "cleared the flag" false
-    (Diagnosis.Incremental.last_truncated inc);
+  let full = inc_solve inc in
+  Alcotest.(check bool) "cleared the flag" false full.truncated;
   Alcotest.(check bool) "no solutions lost" true
-    (List.length full >= List.length partial)
+    (List.length full.solutions >= List.length partial.solutions)
 
 (* Every engine takes [Sat.Budget], and a born-exhausted budget stops it
    before any work: truncated, every returned solution still valid, and
@@ -521,14 +525,12 @@ let test_zero_budget_every_engine () =
       truncated solutions =
     { truncated; solutions; valid; calls }
   in
-  let counter obs name =
-    Option.value ~default:0 (List.assoc_opt name (Obs.counters obs))
+  (* every SAT engine, read through the one outcome record *)
+  let sat ?valid run () =
+    let (o : Diagnosis.Outcome.t) = run (budget ()) in
+    outcome ?valid ~calls:o.solver_calls o.truncated o.solutions
   in
-  let bsat jobs () =
-    let r = Diagnosis.Bsat.diagnose ~budget:(budget ()) ~jobs ~k faulty tests in
-    outcome ~calls:r.Diagnosis.Bsat.solver_calls r.Diagnosis.Bsat.truncated
-      r.Diagnosis.Bsat.solutions
-  in
+  let bsat jobs budget = Diagnosis.Bsat.diagnose ~budget ~jobs ~k faulty tests in
   let cover engine () =
     let r =
       Diagnosis.Cover.diagnose ~engine ~budget:(budget ()) ~k faulty tests
@@ -538,19 +540,6 @@ let test_zero_budget_every_engine () =
       ~valid:(fun s -> Diagnosis.Cover.covers s sets)
       r.Diagnosis.Cover.truncated r.Diagnosis.Cover.solutions
   in
-  let incremental () =
-    let inc = Diagnosis.Incremental.create ~k faulty tests in
-    let sols = Diagnosis.Incremental.solutions ~budget:(budget ()) inc in
-    outcome
-      ~calls:(Diagnosis.Incremental.solver_calls inc)
-      (Diagnosis.Incremental.last_truncated inc)
-      sols
-  in
-  let hitting () =
-    let r = Diagnosis.Hitting.diagnose ~budget:(budget ()) ~k faulty tests in
-    outcome ~calls:r.Diagnosis.Hitting.solver_calls
-      r.Diagnosis.Hitting.truncated r.Diagnosis.Hitting.solutions
-  in
   let advanced_sim () =
     let r =
       Diagnosis.Advanced_sim.diagnose ~budget:(budget ()) ~k faulty tests
@@ -558,42 +547,7 @@ let test_zero_budget_every_engine () =
     outcome r.Diagnosis.Advanced_sim.truncated
       r.Diagnosis.Advanced_sim.solutions
   in
-  let advanced_sat () =
-    let obs = Obs.create () in
-    let r =
-      Diagnosis.Advanced_sat.diagnose_dominators ~budget:(budget ()) ~obs ~k
-        faulty tests
-    in
-    outcome
-      ~calls:(counter obs "advsat/dominators/solver_calls")
-      r.Diagnosis.Advanced_sat.truncated r.Diagnosis.Advanced_sat.solutions
-  in
-  let seq_diag () =
-    let faulty, tests = s27_seq_workload () in
-    let r =
-      Diagnosis.Seq_diag.diagnose_bsat ~budget:(budget ()) ~k:1 faulty tests
-    in
-    outcome ~calls:r.Diagnosis.Seq_diag.solver_calls
-      ~valid:(Diagnosis.Seq_diag.check faulty tests)
-      r.Diagnosis.Seq_diag.truncated r.Diagnosis.Seq_diag.solutions
-  in
-  let hybrid_guided () =
-    let obs = Obs.create () in
-    let r = Diagnosis.Hybrid.guided ~budget:(budget ()) ~obs ~k faulty tests in
-    outcome
-      ~calls:
-        (counter obs "hybrid/plain/solver_calls"
-        + counter obs "hybrid/guided/solver_calls")
-      r.Diagnosis.Hybrid.truncated r.Diagnosis.Hybrid.solutions
-  in
-  (* its enumeration is the incremental row's; this counts twin queries *)
-  let adaptive () =
-    let r =
-      Diagnosis.Adaptive.diagnose ~budget:(budget ()) ~k ~golden faulty tests
-    in
-    outcome ~calls:r.Diagnosis.Adaptive.twin_calls
-      r.Diagnosis.Adaptive.truncated r.Diagnosis.Adaptive.solutions
-  in
+  let seq_faulty, seq_tests = s27_seq_workload () in
   List.iter
     (fun (name, run) ->
       let o = run () in
@@ -604,17 +558,38 @@ let test_zero_budget_every_engine () =
         o.solutions;
       Option.iter (Alcotest.(check int) (name ^ ": no solver call") 0) o.calls)
     [
-      ("bsat jobs 1", bsat 1);
-      ("bsat jobs 4", bsat 4);
-      ("incremental", incremental);
-      ("hitting", hitting);
+      ("bsat jobs 1", sat (bsat 1));
+      ("bsat jobs 4", sat (bsat 4));
+      ( "incremental",
+        sat (fun budget ->
+            inc_solve ~budget (Diagnosis.Incremental.create ~k faulty tests)) );
+      ( "hitting",
+        sat (fun budget ->
+            (Diagnosis.Hitting.diagnose ~budget ~k faulty tests).outcome) );
       ("cover sat", cover Diagnosis.Cover.Sat_engine);
       ("cover backtrack", cover Diagnosis.Cover.Backtrack_engine);
       ("advanced sim", advanced_sim);
-      ("advanced sat", advanced_sat);
-      ("sequential bsat", seq_diag);
-      ("hybrid guided", hybrid_guided);
-      ("adaptive", adaptive);
+      ( "advanced sat",
+        sat (fun budget ->
+            (Diagnosis.Advanced_sat.diagnose_dominators ~budget ~k faulty tests)
+              .outcome) );
+      ( "sequential bsat",
+        sat ~valid:(Diagnosis.Seq_diag.check seq_faulty seq_tests)
+          (fun budget ->
+            (Diagnosis.Seq_diag.diagnose_bsat ~budget ~k:1 seq_faulty seq_tests)
+              .outcome) );
+      ( "hybrid guided",
+        sat (fun budget ->
+            let h = Diagnosis.Hybrid.guided ~budget ~k faulty tests in
+            Diagnosis.Outcome.sum [ h.plain; h.guided ]) );
+      ( "hybrid repair",
+        sat (fun budget ->
+            (Diagnosis.Hybrid.repair ~budget ~k ~seed:[] faulty tests).outcome)
+      );
+      ( "adaptive",
+        sat (fun budget ->
+            (Diagnosis.Adaptive.diagnose ~budget ~k ~golden faulty tests)
+              .outcome) );
     ]
 
 (* ---------- advanced approaches ---------- *)
@@ -670,8 +645,8 @@ let prop_advanced_sat_dominators_valid =
       in
       List.for_all
         (fun s -> Diagnosis.Validity.check_sat faulty tests s)
-        adv.Diagnosis.Advanced_sat.solutions
-      && ((not bsat_nonempty) || adv.Diagnosis.Advanced_sat.solutions <> []))
+        adv.Diagnosis.Advanced_sat.outcome.solutions
+      && ((not bsat_nonempty) || adv.Diagnosis.Advanced_sat.outcome.solutions <> []))
 
 let prop_advanced_sat_partitioned_valid =
   QCheck.Test.make ~count:15 ~name:"partitioned: sound subset of BSAT"
@@ -686,7 +661,7 @@ let prop_advanced_sat_partitioned_valid =
       let bs = List.map sorted bsat.Diagnosis.Bsat.solutions in
       List.for_all
         (fun s -> List.mem (sorted s) bs)
-        adv.Diagnosis.Advanced_sat.solutions)
+        adv.Diagnosis.Advanced_sat.outcome.solutions)
 
 (* ---------- hybrid ---------- *)
 
@@ -698,7 +673,7 @@ let prop_hybrid_guided_same_solutions =
       QCheck.assume (tests <> []);
       let h = Diagnosis.Hybrid.guided ~k:p faulty tests in
       let plain = Diagnosis.Bsat.diagnose ~k:p faulty tests in
-      List.sort compare (List.map sorted h.Diagnosis.Hybrid.solutions)
+      List.sort compare (List.map sorted h.Diagnosis.Hybrid.guided.solutions)
       = List.sort compare (List.map sorted plain.Diagnosis.Bsat.solutions))
 
 let test_hybrid_repair_fig5a () =
@@ -775,8 +750,7 @@ let prop_incremental_matches_scratch =
       let rest = List.filteri (fun i _ -> i >= 2) tests in
       let inc = Diagnosis.Incremental.create ~k:p faulty quarter in
       let sols_a =
-        Diagnosis.Incremental.solutions inc |> List.map sorted
-        |> List.sort compare
+        (inc_solve inc).solutions |> List.map sorted |> List.sort compare
       in
       let scratch_a =
         (Diagnosis.Bsat.diagnose ~k:p faulty quarter).Diagnosis.Bsat.solutions
@@ -784,8 +758,7 @@ let prop_incremental_matches_scratch =
       in
       Diagnosis.Incremental.add_tests inc rest;
       let sols_b =
-        Diagnosis.Incremental.solutions inc |> List.map sorted
-        |> List.sort compare
+        (inc_solve inc).solutions |> List.map sorted |> List.sort compare
       in
       let scratch_b =
         (Diagnosis.Bsat.diagnose ~k:p faulty tests).Diagnosis.Bsat.solutions
@@ -797,8 +770,8 @@ let test_incremental_reenumeration_stable () =
   (* two enumerations without adding tests must agree (guards retired) *)
   let _, faulty, _, tests = workload 41 1 in
   let inc = Diagnosis.Incremental.create ~k:1 faulty tests in
-  let a = Diagnosis.Incremental.solutions inc |> List.sort compare in
-  let b = Diagnosis.Incremental.solutions inc |> List.sort compare in
+  let a = (inc_solve inc).solutions |> List.sort compare in
+  let b = (inc_solve inc).solutions |> List.sort compare in
   Alcotest.(check (list (list int))) "same twice" a b
 
 let test_incremental_carry_forward () =
@@ -810,24 +783,33 @@ let test_incremental_carry_forward () =
   let rest = List.filteri (fun i _ -> i >= List.length tests / 2) tests in
   let obs = Obs.create () in
   let inc = Diagnosis.Incremental.create ~obs ~k:2 faulty half in
-  let first = Diagnosis.Incremental.solutions inc in
+  let cold = Diagnosis.Incremental.solutions inc in
+  let first = cold.outcome.solutions in
   Alcotest.(check bool) "workload is non-trivial" true (first <> []);
-  let before = Diagnosis.Incremental.stats inc in
+  Alcotest.(check bool) "cold call searches" true
+    (cold.outcome.solver_calls > 0);
+  Alcotest.(check int) "cold call reuses nothing" 0 cold.reused;
   let again = Diagnosis.Incremental.solutions inc in
-  Alcotest.(check (list (list int))) "repeat = first answer" first again;
-  Alcotest.(check bool) "repeat makes no solver call" true
-    (Diagnosis.Incremental.stats inc = before);
+  Alcotest.(check (list (list int))) "repeat = cold answer" first
+    again.outcome.solutions;
+  Alcotest.(check int) "repeat makes no solver call" 0
+    again.outcome.solver_calls;
+  Alcotest.(check int) "repeat makes no conflict" 0
+    again.outcome.stats.Sat.Solver.conflicts;
   Alcotest.(check int) "repeat reuses every solution" (List.length first)
-    (Diagnosis.Incremental.reused inc);
-  Alcotest.(check int) "repeat re-checks nothing" 0
-    (Diagnosis.Incremental.revalidated inc);
+    again.reused;
+  Alcotest.(check int) "repeat re-checks nothing" 0 again.revalidated;
   Diagnosis.Incremental.add_tests inc rest;
   let grown = Diagnosis.Incremental.solutions inc in
   Alcotest.(check (list (list int))) "grown = cold enumeration"
-    (Diagnosis.Bsat.diagnose ~k:2 faulty tests).Diagnosis.Bsat.solutions grown;
+    (Diagnosis.Bsat.diagnose ~k:2 faulty tests).Diagnosis.Bsat.solutions
+    grown.outcome.solutions;
   Alcotest.(check int) "growth re-checks every carried solution"
-    (List.length first)
-    (Diagnosis.Incremental.revalidated inc);
+    (List.length first) grown.revalidated;
+  Alcotest.(check int) "growth reuses the surviving carried solutions"
+    (List.length
+       (List.filter (Diagnosis.Validity.check_sim faulty rest) first))
+    grown.reused;
   let revalidations =
     List.filter_map
       (fun e ->
@@ -844,7 +826,7 @@ let test_incremental_fault_retires () =
   let half = List.filteri (fun i _ -> i < List.length tests / 2) tests in
   let rest = List.filteri (fun i _ -> i >= List.length tests / 2) tests in
   let inc = Diagnosis.Incremental.create ~k:1 faulty half in
-  ignore (Diagnosis.Incremental.solutions inc);
+  ignore (inc_solve inc);
   Diagnosis.Incremental.fail_next_add_tests ~after:1;
   (match Diagnosis.Incremental.add_tests inc rest with
   | () -> Alcotest.fail "armed fault did not fire"
@@ -916,10 +898,9 @@ let prop_incremental_carry_differential =
               Diagnosis.Incremental.retire !inc;
               inc := Diagnosis.Incremental.create ~k:p faulty (prefix ())
           | Repeat | Capped _ | Budget0 -> ());
-          let got =
-            Diagnosis.Incremental.solutions ~max_solutions ?budget ~jobs !inc
+          let { Diagnosis.Outcome.solutions = got; truncated; _ } =
+            inc_solve ~max_solutions ?budget ~jobs !inc
           in
-          let truncated = Diagnosis.Incremental.last_truncated !inc in
           let full =
             (Diagnosis.Bsat.diagnose ~k:p faulty (prefix ()))
               .Diagnosis.Bsat.solutions
@@ -949,28 +930,34 @@ let test_incremental_certified () =
   Alcotest.(check bool) "three non-empty parts" true (third <> [] && first <> []);
   let plain = Diagnosis.Incremental.create ~k:1 faulty first in
   let inc = Diagnosis.Incremental.create ~certify:true ~k:1 faulty first in
-  let run i = Diagnosis.Incremental.solutions i |> List.sort compare in
+  (* each context's per-call outcomes, summed over its lifetime *)
+  let calls = ref [] and plain_calls = ref [] in
+  let run ?jobs i =
+    let o = inc_solve ?jobs i in
+    let log = if i == plain then plain_calls else calls in
+    log := o :: !log;
+    List.sort compare o.solutions
+  in
+  let lifetime log = Diagnosis.Outcome.sum !log in
   Alcotest.(check (list (list int))) "certified = plain" (run plain) (run inc);
   Diagnosis.Incremental.add_tests plain second;
   Diagnosis.Incremental.add_tests inc second;
   Alcotest.(check (list (list int)))
     "certified = plain after add_tests" (run plain) (run inc);
-  let live_checks = Diagnosis.Incremental.cert_checks inc in
+  let live_checks = (lifetime calls).cert_checks in
   Alcotest.(check bool) "live answers verified" true (live_checks > 0);
   (* growth in a certified context is always re-solved, here by the
      portfolio *)
   Diagnosis.Incremental.add_tests plain third;
   Diagnosis.Incremental.add_tests inc third;
-  let par =
-    Diagnosis.Incremental.solutions ~jobs:2 inc |> List.sort compare
-  in
+  let par = run ~jobs:2 inc in
   Alcotest.(check (list (list int))) "portfolio agrees" (run plain) par;
   Alcotest.(check bool) "portfolio answers verified" true
-    (Diagnosis.Incremental.cert_checks inc > live_checks);
+    ((lifetime calls).cert_checks > live_checks);
   Alcotest.(check (list string)) "no failures" []
-    (Diagnosis.Incremental.cert_failures inc);
+    (lifetime calls).cert_failures;
   Alcotest.(check int) "plain instance never checks" 0
-    (Diagnosis.Incremental.cert_checks plain)
+    (lifetime plain_calls).cert_checks
 
 (* ---------- xlist ---------- *)
 
@@ -1052,13 +1039,13 @@ let test_hitting_equals_bsat_examples () =
                   Printf.sprintf "%s k=%d jobs=%d" name k jobs
                 in
                 Alcotest.(check (list (list int)))
-                  (tag ^ ": Hitting = BSAT") bsat r.Diagnosis.Hitting.solutions;
+                  (tag ^ ": Hitting = BSAT") bsat r.Diagnosis.Hitting.outcome.solutions;
                 Alcotest.(check (list string)) (tag ^ ": no cert failures") []
-                  r.Diagnosis.Hitting.cert_failures;
+                  r.Diagnosis.Hitting.outcome.cert_failures;
                 Alcotest.(check bool) (tag ^ ": certified something") true
-                  (r.Diagnosis.Hitting.cert_checks > 0);
+                  (r.Diagnosis.Hitting.outcome.cert_checks > 0);
                 Alcotest.(check bool) (tag ^ ": complete") false
-                  r.Diagnosis.Hitting.truncated)
+                  r.Diagnosis.Hitting.outcome.truncated)
               [ Diagnosis.Hitting.Bfs; Diagnosis.Hitting.Greedy ])
           [ 1; 2; 4 ]
       done)
@@ -1073,7 +1060,7 @@ let test_hitting_subsumes_valid_covers () =
       for k = 1 to 3 do
         let hit =
           (Diagnosis.Hitting.diagnose ~k faulty tests).Diagnosis.Hitting
-            .solutions
+            .outcome.solutions
         in
         let covers =
           (Diagnosis.Cover.diagnose ~k faulty tests).Diagnosis.Cover.solutions
@@ -1103,7 +1090,7 @@ let prop_hitting_equals_bsat =
       List.for_all
         (fun heuristic ->
           (Diagnosis.Hitting.diagnose ~heuristic ~k:p faulty tests)
-            .Diagnosis.Hitting.solutions = bsat)
+            .Diagnosis.Hitting.outcome.solutions = bsat)
         [ Diagnosis.Hitting.Bfs; Diagnosis.Hitting.Greedy ])
 
 let prop_hitting_subsumes_valid_covers =
@@ -1115,7 +1102,7 @@ let prop_hitting_subsumes_valid_covers =
       QCheck.assume (tests <> []);
       let hit =
         (Diagnosis.Hitting.diagnose ~k:p faulty tests).Diagnosis.Hitting
-          .solutions
+          .outcome.solutions
       in
       let covers =
         (Diagnosis.Cover.diagnose ~k:p faulty tests).Diagnosis.Cover.solutions
@@ -1151,12 +1138,12 @@ let test_adaptive_resolves_definitively () =
     | _ -> false);
   Alcotest.(check bool) "made progress" true
     (r.Diagnosis.Adaptive.rounds <> []
-    || List.length r.Diagnosis.Adaptive.solutions <= 1
+    || List.length r.Diagnosis.Adaptive.outcome.solutions <= 1
     || r.Diagnosis.Adaptive.verdict = Diagnosis.Adaptive.Indistinguishable);
   Alcotest.(check bool) "certified answers" true
-    (r.Diagnosis.Adaptive.cert_checks > 0);
+    (r.Diagnosis.Adaptive.outcome.cert_checks > 0);
   Alcotest.(check (list string)) "no cert failures" []
-    r.Diagnosis.Adaptive.cert_failures;
+    r.Diagnosis.Adaptive.outcome.cert_failures;
   (* every survivor still explains the full measured test set *)
   let measured =
     tests
@@ -1168,7 +1155,7 @@ let test_adaptive_resolves_definitively () =
     (fun s ->
       Alcotest.(check bool) "survivor valid on all measured tests" true
         (Diagnosis.Validity.check_sat faulty measured s))
-    r.Diagnosis.Adaptive.solutions
+    r.Diagnosis.Adaptive.outcome.solutions
 
 (* per-round oracle: each committed vector's kill list is confirmed by
    resimulation + an independent validity check, and each round's
@@ -1223,7 +1210,7 @@ let test_adaptive_indistinguishable_chain () =
     (r.Diagnosis.Adaptive.verdict = Diagnosis.Adaptive.Indistinguishable);
   Alcotest.(check (list (list int))) "both chain gates survive"
     [ [ g1 ]; [ g2 ] ]
-    (canon r.Diagnosis.Adaptive.solutions);
+    (canon r.Diagnosis.Adaptive.outcome.solutions);
   Alcotest.(check int) "no test was committed" 0
     (List.length r.Diagnosis.Adaptive.rounds)
 
@@ -1233,13 +1220,13 @@ let test_adaptive_budget_exhausted () =
   let r = Diagnosis.Adaptive.diagnose ~budget ~k:1 ~golden faulty tests in
   Alcotest.(check bool) "verdict Exhausted" true
     (r.Diagnosis.Adaptive.verdict = Diagnosis.Adaptive.Exhausted);
-  Alcotest.(check bool) "truncated flag" true r.Diagnosis.Adaptive.truncated;
+  Alcotest.(check bool) "truncated flag" true r.Diagnosis.Adaptive.outcome.truncated;
   (* whatever survived the cut must still be valid *)
   List.iter
     (fun s ->
       Alcotest.(check bool) "partial survivor valid" true
         (Diagnosis.Validity.check_sat faulty tests s))
-    r.Diagnosis.Adaptive.solutions
+    r.Diagnosis.Adaptive.outcome.solutions
 
 (* ---------- metrics ---------- *)
 

@@ -114,7 +114,7 @@ let prop_seq_bsat_complete_tiny =
       QCheck.assume (tests <> []);
       let found =
         (Diagnosis.Seq_diag.diagnose_bsat ~k:1 faulty tests)
-          .Diagnosis.Seq_diag.solutions
+          .Diagnosis.Seq_diag.outcome.solutions
         |> List.concat |> List.sort_uniq Int.compare
       in
       (* brute force: every single core gate checked with the sequential
@@ -288,9 +288,9 @@ let prop_hitting_differential =
                 Diagnosis.Hitting.diagnose ~heuristic ~certify:true ~jobs ~k:p
                   faulty tests
               in
-              r.Diagnosis.Hitting.solutions = bsat
-              && r.Diagnosis.Hitting.cert_failures = []
-              && not r.Diagnosis.Hitting.truncated)
+              r.Diagnosis.Hitting.outcome.solutions = bsat
+              && r.Diagnosis.Hitting.outcome.cert_failures = []
+              && not r.Diagnosis.Hitting.outcome.truncated)
             [ Diagnosis.Hitting.Bfs; Diagnosis.Hitting.Greedy ])
         [ 1; 2; 4 ]
       && (ng > 25
@@ -320,7 +320,7 @@ let prop_hitting_differential =
          budget stops the search, it must not steer it *)
       let budget = Sat.Budget.create ~conflicts:8 () in
       let r = Diagnosis.Hitting.diagnose ~budget ~k:p faulty tests in
-      List.for_all (fun s -> List.mem s bsat) r.Diagnosis.Hitting.solutions)
+      List.for_all (fun s -> List.mem s bsat) r.Diagnosis.Hitting.outcome.solutions)
 
 let () =
   Alcotest.run "fuzz"

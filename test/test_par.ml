@@ -226,8 +226,8 @@ let prop_advanced_equivalent =
             Diagnosis.Advanced_sat.diagnose_dominators ~jobs ~k:p faulty
               tests
           in
-          rn.Diagnosis.Advanced_sat.solutions
-          = r1.Diagnosis.Advanced_sat.solutions)
+          rn.Diagnosis.Advanced_sat.outcome.solutions
+          = r1.Diagnosis.Advanced_sat.outcome.solutions)
         widths)
 
 let prop_hybrid_equivalent =
@@ -240,8 +240,9 @@ let prop_hybrid_equivalent =
       List.for_all
         (fun jobs ->
           let rn = Diagnosis.Hybrid.guided ~jobs ~k:p faulty tests in
-          rn.Diagnosis.Hybrid.solutions = r1.Diagnosis.Hybrid.solutions
-          && rn.Diagnosis.Hybrid.truncated = r1.Diagnosis.Hybrid.truncated)
+          rn.Diagnosis.Hybrid.guided.solutions = r1.Diagnosis.Hybrid.guided.solutions
+          && rn.Diagnosis.Hybrid.guided.truncated = r1.Diagnosis.Hybrid.guided.truncated
+          && rn.Diagnosis.Hybrid.plain.truncated = r1.Diagnosis.Hybrid.plain.truncated)
         widths)
 
 let prop_incremental_equivalent =
@@ -261,7 +262,7 @@ let prop_incremental_equivalent =
       let grown jobs =
         let inc = Diagnosis.Incremental.create ~k:p faulty half in
         Diagnosis.Incremental.add_tests inc rest;
-        Diagnosis.Incremental.solutions ~jobs inc
+        (Diagnosis.Incremental.solutions ~jobs inc).outcome.solutions
       in
       let s1 = grown 1 in
       List.for_all (fun jobs -> grown jobs = s1) widths)
@@ -286,9 +287,9 @@ let prop_hitting_equivalent =
               (* node/core/reuse counters legitimately differ across
                  widths (a round checks up to [jobs] nodes at once); the
                  solution list is the contract *)
-              rn.Diagnosis.Hitting.solutions = r1.Diagnosis.Hitting.solutions
-              && rn.Diagnosis.Hitting.truncated
-                 = r1.Diagnosis.Hitting.truncated)
+              rn.Diagnosis.Hitting.outcome.solutions = r1.Diagnosis.Hitting.outcome.solutions
+              && rn.Diagnosis.Hitting.outcome.truncated
+                 = r1.Diagnosis.Hitting.outcome.truncated)
             widths)
         [ Diagnosis.Hitting.Bfs; Diagnosis.Hitting.Greedy ])
 
@@ -322,7 +323,7 @@ let prop_adaptive_equivalent =
           let rn =
             Diagnosis.Adaptive.diagnose ~jobs ~k:p ~golden faulty tests
           in
-          rn.Diagnosis.Adaptive.solutions = r1.Diagnosis.Adaptive.solutions
+          rn.Diagnosis.Adaptive.outcome.solutions = r1.Diagnosis.Adaptive.outcome.solutions
           && rn.Diagnosis.Adaptive.verdict = r1.Diagnosis.Adaptive.verdict
           && List.map round_key rn.Diagnosis.Adaptive.rounds
              = List.map round_key r1.Diagnosis.Adaptive.rounds
@@ -418,12 +419,12 @@ let prop_hitting_zero_budget_identical =
         Diagnosis.Hitting.diagnose ~budget ~jobs ~k:p faulty tests
       in
       let r1 = run 1 in
-      r1.Diagnosis.Hitting.truncated
+      r1.Diagnosis.Hitting.outcome.truncated
       && List.for_all
            (fun jobs ->
              let rn = run jobs in
-             rn.Diagnosis.Hitting.truncated
-             && rn.Diagnosis.Hitting.solutions = r1.Diagnosis.Hitting.solutions)
+             rn.Diagnosis.Hitting.outcome.truncated
+             && rn.Diagnosis.Hitting.outcome.solutions = r1.Diagnosis.Hitting.outcome.solutions)
            widths)
 
 let prop_hitting_budget_subset =
@@ -440,8 +441,8 @@ let prop_hitting_budget_subset =
           let budget = Sat.Budget.create ~conflicts:30 () in
           let rn = Diagnosis.Hitting.diagnose ~budget ~jobs ~k:p faulty tests in
           List.for_all
-            (fun s -> List.mem s full.Diagnosis.Hitting.solutions && check s)
-            rn.Diagnosis.Hitting.solutions)
+            (fun s -> List.mem s full.Diagnosis.Hitting.outcome.solutions && check s)
+            rn.Diagnosis.Hitting.outcome.solutions)
         (1 :: widths))
 
 (* ---------- timing ---------- *)

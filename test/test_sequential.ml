@@ -138,7 +138,7 @@ let test_seq_bsat_finds_site () =
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: site diagnosed" seed)
         true
-        (List.exists (List.mem site) r.Diagnosis.Seq_diag.solutions);
+        (List.exists (List.mem site) r.Diagnosis.Seq_diag.outcome.solutions);
       incr found
     end
   done;
@@ -153,7 +153,7 @@ let test_seq_bsat_solutions_valid () =
         (fun sol ->
           Alcotest.(check bool) "valid sequential correction" true
             (Diagnosis.Seq_diag.check faulty tests sol))
-        r.Diagnosis.Seq_diag.solutions
+        r.Diagnosis.Seq_diag.outcome.solutions
     end
   done
 

@@ -188,25 +188,28 @@ let test_warm_equals_oneshot () =
   let t10 = oracle_tests ~seed:3 ~wanted:10 ~faulty in
   let t4 = oracle_tests ~seed:3 ~wanted:4 ~faulty in
   (* the warm context, replayed by hand on the library *)
+  let solve ?budget ~max_solutions inc =
+    (Diagnosis.Incremental.solutions ~max_solutions ?budget inc)
+      .Diagnosis.Incremental.outcome
+  in
   let live = Diagnosis.Incremental.create ~k:1 faulty t6 in
-  let o1 = Diagnosis.Incremental.solutions ~max_solutions:1000 live in
+  let o1 = (solve ~max_solutions:1000 live).solutions in
   let have = List.length t6 in
   Diagnosis.Incremental.add_tests live
     (List.filteri (fun i _ -> i >= have) t10);
-  let o2 = Diagnosis.Incremental.solutions ~max_solutions:1000 live in
-  let o3 = Diagnosis.Incremental.solutions ~max_solutions:1000 live in
-  let o5 =
-    Diagnosis.Incremental.solutions ~max_solutions:1000
-      ~budget:(Sat.Budget.create ~conflicts:0 ()) live
+  let o2 = (solve ~max_solutions:1000 live).solutions in
+  let o3 = (solve ~max_solutions:1000 live).solutions in
+  let r5 =
+    solve ~max_solutions:1000 ~budget:(Sat.Budget.create ~conflicts:0 ()) live
   in
-  let truncated5 = Diagnosis.Incremental.last_truncated live in
-  let o6 = Diagnosis.Incremental.solutions ~max_solutions:1 live in
-  let truncated6 = Diagnosis.Incremental.last_truncated live in
+  let o5 = r5.solutions and truncated5 = r5.truncated in
+  let r6 = solve ~max_solutions:1 live in
+  let o6 = r6.solutions and truncated6 = r6.truncated in
   Diagnosis.Incremental.retire live;
   (* fresh cold runs: growth and repetition must not change answers *)
   let cold tests =
     let inc = Diagnosis.Incremental.create ~k:1 faulty tests in
-    let sols = Diagnosis.Incremental.solutions ~max_solutions:1000 inc in
+    let sols = (solve ~max_solutions:1000 inc).solutions in
     Diagnosis.Incremental.retire inc;
     sols
   in
@@ -272,13 +275,10 @@ let test_cold_stats_equal_engine () =
   let tests = oracle_tests ~seed:3 ~wanted:6 ~faulty in
   let obs = Obs.create () in
   let inc = Diagnosis.Incremental.create ~obs ~k:1 faulty tests in
-  let o = Serve.Engine.run ~obs ~max_solutions:1000 inc in
+  ignore (Serve.Engine.run ~obs ~max_solutions:1000 inc);
   Diagnosis.Incremental.retire inc;
-  match o.Serve.Engine.stats with
-  | Some stats ->
-      Alcotest.(check string) "served stats block = one-shot engine block"
-        (J.to_string stats) served
-  | None -> Alcotest.fail "engine run recorded no stats"
+  Alcotest.(check string) "served stats block = one-shot engine block"
+    (J.to_string (Obs.to_json ~times:false obs)) served
 
 (* ---------- server error paths and bookkeeping ---------- *)
 
