@@ -103,7 +103,9 @@ let diagnose ?(max_rounds = 32) ?(max_stall = 4) ?(vectors_per_pair = 4)
     ?(jobs = 1) ~k ~golden faulty tests =
   if tests = [] then invalid_arg "Adaptive.diagnose: empty initial test set";
   let jobs = Par.clamp_jobs jobs in
+  let t0 = Obs.Clock.wall () in
   let inc = Incremental.create ?obs ~certify ~k faulty tests in
+  let cnf_time = Obs.Clock.wall () -. t0 in
   let twin_calls = ref 0 in
   let twin_checks = ref 0 in
   let twin_failures = ref [] in
@@ -244,13 +246,15 @@ let diagnose ?(max_rounds = 32) ?(max_stall = 4) ?(vectors_per_pair = 4)
   let runs = Outcome.sum (List.rev !enumerations) in
   let outcome =
     {
-      runs with
-      solutions;
+      Outcome.solutions;
       truncated;
       solver_calls = runs.solver_calls + !twin_calls;
       stats = Incremental.stats inc;
       cert_checks = runs.cert_checks + !twin_checks;
       cert_failures = runs.cert_failures @ !twin_failures;
+      cnf_time;
+      one_time = 0.0;
+      all_time = Obs.Clock.wall () -. t0 -. cnf_time;
     }
   in
   Incremental.retire inc;

@@ -67,7 +67,9 @@ type result = {
       (** the final survivors in canonical order, [truncated] iff
           [verdict = Exhausted]; [solver_calls] counts every enumeration
           call and twin query, [stats] are the warm context's solver
-          counters, and the certificates cover both *)
+          counters, and the certificates cover both; [cnf_time] builds
+          the warm context, [all_time] is the rest of the call and
+          [one_time] 0 (the rounds answer one after another) *)
   verdict : verdict;
   rounds : round list;  (** committed rounds, in order *)
   initial_tests : int;  (** triples in the initial set *)

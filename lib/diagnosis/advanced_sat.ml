@@ -3,21 +3,27 @@ module Dominators = Netlist.Dominators
 type result = { outcome : Outcome.t; pass1_solutions : int list list }
 
 (* The result over the Bsat passes run, in order: their sum, with the
-   final pass's solver counters and the whole run's wall time.  Inner
+   final pass's solver counters, every pass's CNF time added up and the
+   rest of the run's wall time as the solve time.  Inner
    Bsat runs are deliberately not handed [obs]: their per-call counters
    would double-count against the final-pass snapshot recorded here.
    Phase events around each pass carry the trajectory instead. *)
 let finish obs prefix ~t0 ~solutions passes =
   let final = List.fold_left (fun _ r -> r) Outcome.empty passes in
+  let cnf_time =
+    List.fold_left (fun a r -> a +. r.Outcome.cnf_time) 0.0 passes
+  in
   let outcome =
     {
       (Outcome.sum passes) with
       solutions;
       stats = final.Outcome.stats;
-      all_time = Obs.Clock.wall () -. t0;
+      cnf_time;
+      one_time = 0.0;
+      all_time = Obs.Clock.wall () -. t0 -. cnf_time;
     }
   in
-  Option.iter (fun obs -> Outcome.record ~sizes:false obs ~prefix outcome) obs;
+  Option.iter (fun obs -> Outcome.record obs ~prefix outcome) obs;
   let pass1_solutions =
     match passes with [] -> [] | p :: _ -> p.Outcome.solutions
   in

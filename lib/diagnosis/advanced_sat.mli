@@ -23,8 +23,9 @@ type result = {
       (** the final solutions; [truncated] if any underlying pass hit
           its budget or solution cap (the reported solutions are still
           individually valid); solver calls and certificates summed over
-          all passes; [stats] from the final pass; [all_time] the whole
-          run *)
+          all passes; [stats] from the final pass; [cnf_time] the passes'
+          CNF builds added up, [all_time] the rest of the run, [one_time]
+          0 (the passes answer one after another) *)
   pass1_solutions : int list list; (** coarse (dominator / first-slice) *)
 }
 
@@ -40,8 +41,8 @@ val diagnose_dominators :
   result
 (** [budget] is shared across both passes: the refinement pass only gets
     whatever allowance the skeleton pass left over.  [obs] records the
-    outcome under ["advsat/dominators/..."] ({!Outcome.record}, without
-    the size histogram) and brackets the passes with
+    outcome under ["advsat/dominators/..."] ({!Outcome.record}) and
+    brackets the passes with
     ["advsat/pass1"]/["advsat/pass2"] [Begin]/[End] events ([End]
     payload = pass solution count).  [certify] verifies every underlying
     solver answer ({!Bsat.diagnose}).  [jobs] runs every underlying BSAT

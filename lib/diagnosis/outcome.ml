@@ -40,15 +40,14 @@ let sum runs =
   let s = List.fold_left add { empty with one_time = infinity } runs in
   if Float.is_finite s.one_time then s else { s with one_time = 0.0 }
 
-let record ?(sizes = true) obs ~prefix o =
+let record obs ~prefix o =
   let name field = prefix ^ "/" ^ field in
   Telemetry.record_solver_stats obs ~prefix o.stats;
   Obs.add obs (name "solutions") (List.length o.solutions);
   Obs.add obs (name "solver_calls") o.solver_calls;
   Obs.add obs (name "truncated") (if o.truncated then 1 else 0);
-  if sizes then
-    List.iter
-      (fun s -> Obs.observe obs (name "solution_size") (List.length s))
-      o.solutions;
+  List.iter
+    (fun s -> Obs.observe obs (name "solution_size") (List.length s))
+    o.solutions;
   Obs.record_span obs (name "cnf") o.cnf_time;
   Obs.record_span obs (name "solve") o.all_time

@@ -27,7 +27,8 @@ type t = {
       (** instance construction (paper "CNF"); this and the two times
           below are wall-clock seconds ({!Obs.Clock.wall}) *)
   one_time : float;  (** time to the first solution (paper "One") *)
-  all_time : float;  (** full enumeration time (paper "All") *)
+  all_time : float;
+      (** full enumeration time after the CNF is built (paper "All") *)
 }
 
 val empty : t
@@ -38,11 +39,11 @@ val sum : t list -> t
     order, [truncated] if any run was, calls, counters and certificates
     added up.  Times are those of runs side by side (a portfolio's
     workers): the latest [cnf_time] and [all_time], the earliest finite
-    [one_time] (0 when none is). *)
+    [one_time] (0 when none is).  An engine whose runs follow one another
+    sets the times of the sum itself. *)
 
-val record : ?sizes:bool -> Obs.t -> prefix:string -> t -> unit
+val record : Obs.t -> prefix:string -> t -> unit
 (** Record the outcome under ["<prefix>/..."]: the solver counters
     ({!Sat.Solver.stats_fields}) plus ["solutions"], ["solver_calls"] and
-    ["truncated"] (0/1) counters, a ["solution_size"] histogram unless
-    [sizes] is [false], and ["cnf"]/["solve"] spans ([cnf_time],
-    [all_time]).  Every counter is deterministic under a fixed seed. *)
+    ["truncated"] (0/1) counters, a ["solution_size"] histogram, and
+    ["cnf"]/["solve"] spans ([cnf_time], [all_time]).  Every counter is deterministic under a fixed seed. *)

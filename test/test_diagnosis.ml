@@ -789,6 +789,7 @@ let test_incremental_carry_forward () =
   Alcotest.(check bool) "cold call searches" true
     (cold.outcome.solver_calls > 0);
   Alcotest.(check int) "cold call reuses nothing" 0 cold.reused;
+  let before = Diagnosis.Incremental.stats inc in
   let again = Diagnosis.Incremental.solutions inc in
   Alcotest.(check (list (list int))) "repeat = cold answer" first
     again.outcome.solutions;
@@ -796,6 +797,13 @@ let test_incremental_carry_forward () =
     again.outcome.solver_calls;
   Alcotest.(check int) "repeat makes no conflict" 0
     again.outcome.stats.Sat.Solver.conflicts;
+  (* nothing else moved either: no decision, propagation, restart,
+     learned or deleted clause, in the call's delta or in the live
+     solver ([learned] in the delta is the database gauge) *)
+  Alcotest.(check bool) "repeat's counter delta is zero" true
+    ({ again.outcome.stats with learned = 0 } = Sat.Solver.zero_stats);
+  Alcotest.(check bool) "repeat leaves the live solver untouched" true
+    (Diagnosis.Incremental.stats inc = before);
   Alcotest.(check int) "repeat reuses every solution" (List.length first)
     again.reused;
   Alcotest.(check int) "repeat re-checks nothing" 0 again.revalidated;
