@@ -617,6 +617,15 @@ let circuit_pos =
 
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed")
 
+(* an integer argument that must be at least [lo] *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
@@ -644,9 +653,9 @@ let run_cmd =
   let names sep only = String.concat sep (List.filter_map (fun m -> if only m then Some m.name else None) methods) in
   let meth = Arg.(value & opt (enum (List.map (fun m -> (m.name, m)) methods)) (List.find (fun m -> m.name = "bsat") methods) & info [ "method" ] ~doc:(names " | " (fun _ -> true))) in
   let heuristic = Arg.(value & opt (some (enum [ ("bfs", Core.Hitting.Bfs); ("greedy", Core.Hitting.Greedy) ])) None & info [ "heuristic" ] ~doc:"HSDAG expansion order for --method hitting: bfs (minimal cardinality first) or greedy (most frequent conflict element first); rejected for any other --method") in
-  let k = Arg.(value & opt (some int) None & info [ "k" ] ~doc:"Correction size limit (default: number of injected errors)") in
+  let k = Arg.(value & opt (some (int_at_least 1)) None & info [ "k" ] ~doc:"Correction size limit, at least 1 (default: number of injected errors)") in
   let m = Arg.(value & opt int 16 & info [ "tests"; "m" ] ~doc:"Number of failing tests to use") in
-  let max_solutions = Arg.(value & opt int 1000 & info [ "max-solutions" ] ~doc:"Stop after this many solutions") in
+  let max_solutions = Arg.(value & opt (int_at_least 0) 1000 & info [ "max-solutions" ] ~doc:"Stop after this many solutions") in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print a JSON block of per-engine solver counters (deterministic under a fixed seed)") in
   let trace = Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Write the run's event trace as Chrome trace_event JSON (open in chrome://tracing or Perfetto)") in
   let budget_seconds = Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Wall-clock budget; SAT engines stop mid-search and return the truncated-but-valid prefix") in
@@ -666,7 +675,7 @@ let coverage_cmd =
 
 let export_cmd =
   let out = Arg.(required & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Output DIMACS file") in
-  let k = Arg.(value & opt (some int) None & info [ "k" ] ~doc:"Correction size limit") in
+  let k = Arg.(value & opt (some (int_at_least 1)) None & info [ "k" ] ~doc:"Correction size limit, at least 1") in
   let m = Arg.(value & opt int 8 & info [ "tests"; "m" ] ~doc:"Number of failing tests") in
   Cmd.v (Cmd.info "export-cnf" ~doc:"Export the BSAT diagnosis instance as DIMACS")
     Term.(const export_cmd_run $ circuit_pos $ scale $ errors $ seed $ k $ m $ out)

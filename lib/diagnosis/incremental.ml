@@ -1,6 +1,8 @@
 type t = {
   solver : Sat.Solver.t;
-  inst : Encode.Muxed.t;
+  (* [None] in an uncertified k = 1 context: its level 1 is settled by
+     simulation, so it never searches and builds no CNF *)
+  inst : Encode.Muxed.t option;
   k : int;
   mutable obs : Obs.t option;
   circuit : Netlist.Circuit.t;
@@ -18,8 +20,11 @@ let create ?obs ?(certify = false) ~k c tests =
   let solver = Sat.Solver.create () in
   Option.iter (Sat.Solver.attach_obs ~prefix:"incremental" solver) obs;
   let inst =
-    Telemetry.phase obs "incremental/cnf" (fun () ->
-        Encode.Muxed.build ~certify ~max_k:k solver c tests)
+    if k = 1 && not certify then None
+    else
+      Some
+        (Telemetry.phase obs "incremental/cnf" (fun () ->
+             Encode.Muxed.build ~certify ~max_k:k solver c tests))
   in
   { solver; inst; k; obs; circuit = c; certify; tests; retired = false;
     carried = None }
@@ -59,13 +64,13 @@ let add_tests t tests =
     List.iteri
       (fun i test ->
         if fault = Some i then failwith "Incremental.add_tests: injected fault";
-        Encode.Muxed.add_test t.inst test)
+        Option.iter (fun inst -> Encode.Muxed.add_test inst test) t.inst)
       tests
   with e ->
     retire t;
     raise e
 
-let num_tests t = Encode.Muxed.num_tests t.inst
+let num_tests t = List.length t.tests
 
 (* The carried corrections that still hold, the first level of the
    level loop that can hold a new essential, and how many carried
@@ -98,20 +103,20 @@ let carry t ~max_solutions ~budget =
 
 (* Fig. 3's level loop on the live instance, from level [first] up,
    with the [survivors] already blocked and counted as found *)
-let solutions_live ~max_solutions ~budget ~survivors ~first t =
+let solutions_live ~max_solutions ~budget ~survivors ~first t inst =
   (* guard this enumeration's blocking clauses so the next call (after
      more tests arrived) starts from a clean solution space *)
-  let active = Encode.Muxed.fresh_activation t.inst in
-  List.iter (Encode.Muxed.block ~unless:active t.inst) survivors;
+  let active = Encode.Muxed.fresh_activation inst in
+  List.iter (Encode.Muxed.block ~unless:active inst) survivors;
   let r =
     Enumerate.levels ~extra:[ active ] ~first
       ~found:(Atomic.make (List.length survivors))
       ~max_solutions ~budget ~k:t.k
-      (Enumerate.muxed ~unless:active t.inst)
+      (Enumerate.muxed ~unless:active inst)
   in
   (* retire the guard permanently — through the instance's emit hook so
      the certification checker sees the unit clause too *)
-  Encode.Muxed.assert_clause t.inst [ Sat.Lit.negate active ];
+  Encode.Muxed.assert_clause inst [ Sat.Lit.negate active ];
   {
     Outcome.empty with
     solutions = Solutions.canonical (survivors @ r.Enumerate.found);
@@ -119,31 +124,65 @@ let solutions_live ~max_solutions ~budget ~survivors ~first t =
     solver_calls = r.Enumerate.calls;
   }
 
+(* Level 1, the whole search of a k = 1 context, by simulation
+   (Lemma 1): the singles, or the empty correction when no test fails.
+   The first [max_solutions] of them, truncated once the cap is reached,
+   as the level loop is *)
+let solutions_sim ~max_solutions ~budget t =
+  if Sat.Budget.exhausted budget then { Outcome.empty with truncated = true }
+  else
+    let all =
+      if List.exists (Sim.Testgen.fails t.circuit) t.tests then
+        List.map (fun g -> [ g ]) (Validity.singles t.circuit t.tests)
+      else [ [] ]
+    in
+    {
+      Outcome.empty with
+      solutions = List.filteri (fun i _ -> i < max_solutions) all;
+      truncated = List.compare_length_with all max_solutions >= 0;
+    }
+
+let cert_checks t = Option.fold ~none:0 ~some:Encode.Muxed.cert_checks t.inst
+
+let cert_failures t =
+  Option.fold ~none:[] ~some:Encode.Muxed.cert_failures t.inst
+
 let solutions ?(max_solutions = max_int) ?(budget = Sat.Budget.unlimited ())
     ?(jobs = 1) t =
   check_live t ~what:"solutions";
   let jobs = Par.clamp_jobs jobs in
   let t0 = Obs.Clock.wall () in
   let st0 = Sat.Solver.stats t.solver in
-  let checks0 = Encode.Muxed.cert_checks t.inst in
-  let failures0 = List.length (Encode.Muxed.cert_failures t.inst) in
+  let checks0 = cert_checks t in
+  let failures0 = List.length (cert_failures t) in
   let survivors, first, revalidated = carry t ~max_solutions ~budget in
+  let search f =
+    Telemetry.phase t.obs "incremental/solve"
+      ~payload:(fun (o, _) -> List.length o.Outcome.solutions)
+    @@ fun () -> (f (), List.length survivors)
+  in
   let outcome, reused =
-    if jobs > 1 && first <= t.k then
-      (* the live solver cannot be shared across domains: the portfolio
-         solves the accumulated workload on fresh per-worker instances
-         and leaves the live instance untouched — the enumerated set is
-         the same, the learned-clause reuse is not *)
-      ( Bsat.diagnose ~max_solutions ~budget ~certify:t.certify ~jobs ~k:t.k
-          t.circuit t.tests,
-        0 )
+    if first > t.k then
+      search (fun () -> { Outcome.empty with solutions = survivors })
     else
-      Telemetry.phase t.obs "incremental/solve"
-        ~payload:(fun (o, _) -> List.length o.Outcome.solutions)
-      @@ fun () ->
-      ( (if first > t.k then { Outcome.empty with solutions = survivors }
-         else solutions_live ~max_solutions ~budget ~survivors ~first t),
-        List.length survivors )
+      match t.inst with
+      | None ->
+          (* k = 1, so a search from level 1 carries nothing: the only
+             carried correction that fails below level 2 is [[]], and it
+             is then the whole carried set *)
+          assert (survivors = []);
+          search (fun () -> solutions_sim ~max_solutions ~budget t)
+      | Some _ when jobs > 1 ->
+          (* the live solver cannot be shared across domains: the
+             portfolio solves the accumulated workload on fresh per-worker
+             instances and leaves the live instance untouched — the
+             enumerated set is the same, the learned-clause reuse is not *)
+          ( Bsat.diagnose ~max_solutions ~budget ~certify:t.certify ~jobs
+              ~k:t.k t.circuit t.tests,
+            0 )
+      | Some inst ->
+          search (fun () ->
+              solutions_live ~max_solutions ~budget ~survivors ~first t inst)
   in
   (* this call's share of the live solver's lifetime counters; [learned]
      is a gauge (clauses currently in the database), reported as-is *)
@@ -152,12 +191,10 @@ let solutions ?(max_solutions = max_int) ?(budget = Sat.Budget.unlimited ())
     {
       outcome with
       stats = { (Sat.Solver.map2_stats ( - ) st st0) with learned = st.learned };
-      cert_checks =
-        outcome.cert_checks + Encode.Muxed.cert_checks t.inst - checks0;
+      cert_checks = outcome.cert_checks + cert_checks t - checks0;
       cert_failures =
         outcome.cert_failures
-        @ List.filteri (fun i _ -> i >= failures0)
-            (Encode.Muxed.cert_failures t.inst);
+        @ List.filteri (fun i _ -> i >= failures0) (cert_failures t);
       all_time = Obs.Clock.wall () -. t0;
     }
   in

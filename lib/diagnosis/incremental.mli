@@ -14,7 +14,16 @@
     is essential for the grown set, and every other essential of the
     grown set strictly contains an old essential that failed.  A repeat
     on an unchanged test set therefore needs no solver call, and after
-    growth the solver only searches for the new, larger essentials. *)
+    growth the solver only searches for the new, larger essentials.
+
+    An uncertified context with [k = 1] never searches at all.  Its
+    whole answer is level 1, and by Lemma 1 a single gate is a valid
+    correction exactly when flipping it fixes every failing test, so
+    {!Validity.singles} answers it by simulation.  Such a context builds
+    no CNF and makes no solver call: every {!solutions} outcome reports
+    0 [solver_calls] and zero counters, and {!stats} stays
+    {!Sat.Solver.zero_stats}.  A certified context keeps the SAT level 1,
+    because a simulation verdict has no DRUP certificate. *)
 
 type t
 
@@ -46,11 +55,15 @@ val create :
     the checker receives through the same emit hook; each {!solutions}
     call reports its own checks.
 
+    The live instance is built here, except in an uncertified [k = 1]
+    context, which answers by simulation and builds none.
+
     [obs] attaches the live solver's per-conflict histograms under
     ["incremental/..."] ({!Sat.Solver.attach_obs}) and emits
     ["incremental/cnf"] [Begin]/[End] events around instance
-    construction, an ["incremental/add_tests"] [Instant] event per
-    {!add_tests} call (payload = number of tests added) and
+    construction (none without an instance), an
+    ["incremental/add_tests"] [Instant] event per {!add_tests} call
+    (payload = number of tests added) and
     ["incremental/solve"] [Begin]/[End] events around each
     {!solutions} enumeration ([End] payload = solution count). *)
 
@@ -100,8 +113,12 @@ val solutions :
     found, and the level loop starts at the smallest level that can hold
     a new essential (one above the smallest failed correction), so it
     searches only for new essentials.  The answer equals a cold
-    enumeration.  The carried answer is not used — the call enumerates
-    from scratch — when [budget] is already exhausted, when the carried
+    enumeration.  An uncertified [k = 1] context settles what is left by
+    simulation instead (see above): the first [max_solutions] singles in
+    canonical order, [truncated] once the cap is reached, as the level
+    loop does; an already exhausted [budget] still returns [truncated]
+    and no solutions.  The carried answer is not used — the call
+    enumerates from scratch — when [budget] is already exhausted, when the carried
     set has [max_solutions] or more corrections, and, for growth, in a
     [certify] context (every reported correction then stays backed by a
     checked solver answer on the full test set) or when [k] > 16.  The
@@ -121,7 +138,9 @@ val solutions :
     portfolio.  The live instance (and {!stats}) is untouched.  A
     carried answer that settles the request without search (a repeat,
     or growth where no carried correction that failed is smaller than
-    [k]) is returned without the portfolio. *)
+    [k]), and an uncertified [k = 1] context, answer without the
+    portfolio. *)
 
 val stats : t -> Sat.Solver.stats
-(** The live solver's lifetime counters. *)
+(** The live solver's lifetime counters ({!Sat.Solver.zero_stats} in an
+    uncertified [k = 1] context). *)

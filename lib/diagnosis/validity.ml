@@ -39,6 +39,27 @@ let check_sim ?(max_set = 16) c tests cands =
   let ctx = Sim.Sim_ctx.create c in
   List.for_all (fun t -> test_rectifiable ~ctx c t cands) tests
 
+(* Lemma 1 at level 1: on a failing test a single gate's only other
+   value is its flip, so g is valid iff flipping g fixes every failing
+   test; each test narrows the survivors of the one before *)
+let singles c tests =
+  let ctx = Sim.Sim_ctx.create c in
+  let narrow cands (test : Sim.Testgen.test) =
+    if cands = [] then []
+    else
+      let base = Sim.Simulator.eval c test.Sim.Testgen.vector in
+      let po = test.Sim.Testgen.po_index and v = test.Sim.Testgen.expected in
+      if base.(c.Circuit.outputs.(po)) = v then cands
+      else
+        List.filter
+          (fun g ->
+            Sim.Event_sim.output_after ~ctx c base [ (g, not base.(g)) ] po = v)
+          cands
+  in
+  List.fold_left narrow
+    (List.sort Int.compare (Array.to_list (Circuit.gate_ids c)))
+    tests
+
 let failing_tests_sim c tests cands =
   let ctx = Sim.Sim_ctx.create c in
   List.filter (fun t -> not (test_rectifiable ~ctx c t cands)) tests

@@ -24,6 +24,14 @@ val check_sim :
 (** @raise Invalid_argument when the set exceeds [max_set] (default 16)
     gates — the enumeration is exponential in |C|. *)
 
+val singles : Netlist.Circuit.t -> Sim.Testgen.test list -> int list
+(** The non-input gates g (the candidates of {!Encode.Muxed.build}) for
+    which [[g]] is a valid
+    correction, ascending — the candidates with [check_sat [g]] and
+    [check_sim [g]], by one simulation per failing test and one
+    early-exit flip ({!Sim.Event_sim.output_after}) per surviving
+    candidate.  Tests that already pass constrain nothing. *)
+
 val failing_tests_sim :
   Netlist.Circuit.t -> Sim.Testgen.test list -> int list -> Sim.Testgen.test list
 (** The tests that cannot be rectified by any value choice on the set —

@@ -108,9 +108,15 @@ let diagnose_of_json id j =
     faulty = string_field j "faulty";
     errors;
     seed = Option.value (int_field j "seed") ~default:1;
-    k = int_field j "k";
+    k =
+      (match int_field j "k" with
+      | Some k when k < 1 -> bad {|field "k" must be at least 1|}
+      | k -> k);
     tests = Option.value (int_field j "tests") ~default:16;
-    max_solutions = Option.value (int_field j "max_solutions") ~default:1000;
+    max_solutions =
+      (match int_field j "max_solutions" with
+      | Some n when n < 0 -> bad {|field "max_solutions" must not be negative|}
+      | n -> Option.value n ~default:1000);
     budget;
     certify = bool_field ~default:false j "certify";
     stats = bool_field ~default:false j "stats";

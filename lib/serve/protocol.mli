@@ -23,10 +23,11 @@ type diagnose = {
   errors : int;                (** injected error count (default 1) *)
   seed : int;                  (** injection + test-generation seed
                                    (default 1) *)
-  k : int option;              (** correction size bound
+  k : int option;              (** correction size bound, at least 1
                                    (default [max 1 errors]) *)
   tests : int;                 (** failing tests wanted (default 16) *)
-  max_solutions : int;         (** enumeration cap (default 1000) *)
+  max_solutions : int;         (** enumeration cap, not negative
+                                   (default 1000) *)
   budget : Sat.Budget.t option;
       (** solver-effort cap, created at parse (= enqueue) time from
           ["budget_seconds"]/["budget_conflicts"]; the scheduler
@@ -71,7 +72,8 @@ val write_frame : out_channel -> string -> unit
 
 val parse : string -> (request, string) result
 (** Decode a request payload.  Unknown ops, missing required fields,
-    type mismatches and invalid budgets all yield [Error] with a
+    type mismatches, a [k] below 1, a negative [max_solutions] and
+    invalid budgets all yield [Error] with a
     one-line message (the server answers with an error response and
     keeps serving). *)
 

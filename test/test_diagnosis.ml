@@ -159,6 +159,26 @@ let prop_validity_engines_agree =
           = Diagnosis.Validity.check_sim faulty tests cands)
         [ 1; 2; 3; 4; 5 ])
 
+let prop_singles_lemma1 =
+  QCheck.Test.make ~count:30
+    ~name:"Validity.singles = check_sat singles = check_sim singles"
+    workload_gen
+    (fun (seed, p) ->
+      let _, faulty, _, tests = workload seed p in
+      QCheck.assume (tests <> []);
+      (* a test the faulty circuit already passes constrains nothing *)
+      let first = List.hd tests in
+      let tests =
+        tests @ [ { first with Sim.Testgen.expected = not first.expected } ]
+      in
+      let among check =
+        List.filter (fun g -> check faulty tests [ g ])
+          (List.sort Int.compare (Array.to_list (C.gate_ids faulty)))
+      in
+      let singles = Diagnosis.Validity.singles faulty tests in
+      singles = among Diagnosis.Validity.check_sat
+      && singles = among (Diagnosis.Validity.check_sim ~max_set:1))
+
 let prop_error_sites_are_valid_correction =
   QCheck.Test.make ~count:40 ~name:"actual error sites form a valid correction"
     workload_gen
@@ -829,6 +849,52 @@ let test_incremental_carry_forward () =
     [ List.length rest ] revalidations;
   Diagnosis.Incremental.retire inc
 
+let test_incremental_k1_by_simulation () =
+  (* an uncertified k = 1 context settles level 1 by simulation: no CNF,
+     no solver call, cold or grown, and Bsat's answer *)
+  let _, faulty, _, tests = workload 45 1 in
+  let half = List.filteri (fun i _ -> i < List.length tests / 2) tests in
+  let rest = List.filteri (fun i _ -> i >= List.length tests / 2) tests in
+  let inc = Diagnosis.Incremental.create ~k:1 faulty half in
+  let check what use =
+    let o = inc_solve inc in
+    Alcotest.(check (list (list int))) (what ^ ": Bsat's solutions")
+      (Diagnosis.Bsat.diagnose ~k:1 faulty use).Diagnosis.Bsat.solutions
+      o.solutions;
+    Alcotest.(check int) (what ^ ": no solver call") 0 o.solver_calls;
+    Alcotest.(check bool) (what ^ ": solver untouched") true
+      (Diagnosis.Incremental.stats inc = Sat.Solver.zero_stats)
+  in
+  check "cold" half;
+  Diagnosis.Incremental.add_tests inc rest;
+  check "grown" tests;
+  Alcotest.(check bool) "workload is non-trivial" true
+    ((inc_solve inc).solutions <> []);
+  (* every test already passes: the empty correction, as Bsat finds it *)
+  let passing =
+    List.map
+      (fun t ->
+        if Sim.Testgen.fails faulty t then
+          { t with Sim.Testgen.expected = not t.Sim.Testgen.expected }
+        else t)
+      tests
+  in
+  let inc = Diagnosis.Incremental.create ~k:1 faulty passing in
+  let o = inc_solve inc in
+  Alcotest.(check (list (list int))) "all pass: the empty correction"
+    [ [] ] o.solutions;
+  Alcotest.(check (list (list int))) "all pass: Bsat's solutions"
+    (Diagnosis.Bsat.diagnose ~k:1 faulty passing).Diagnosis.Bsat.solutions
+    o.solutions;
+  Alcotest.(check int) "all pass: no solver call" 0 o.solver_calls;
+  (* a certified context keeps the SAT level 1 and its checks *)
+  let cert = Diagnosis.Incremental.create ~certify:true ~k:1 faulty tests in
+  let o = inc_solve cert in
+  Alcotest.(check (list (list int))) "certified: same solutions"
+    (Diagnosis.Bsat.diagnose ~k:1 faulty tests).Diagnosis.Bsat.solutions
+    o.solutions;
+  Alcotest.(check bool) "certified: answers checked" true (o.cert_checks > 0)
+
 let test_incremental_fault_retires () =
   let _, faulty, _, tests = workload 44 1 in
   let half = List.filteri (fun i _ -> i < List.length tests / 2) tests in
@@ -1296,6 +1362,7 @@ let qtests =
       prop_pt_single_error_site_marked;
       prop_bsim_pigeonhole;
       prop_validity_engines_agree;
+      prop_singles_lemma1;
       prop_error_sites_are_valid_correction;
       prop_cov_engines_agree;
       prop_cov_solutions_cover_and_irredundant;
@@ -1388,6 +1455,8 @@ let () =
             test_incremental_carry_forward;
           Alcotest.test_case "fault mid-add_tests retires" `Quick
             test_incremental_fault_retires;
+          Alcotest.test_case "k = 1 by simulation" `Quick
+            test_incremental_k1_by_simulation;
         ] );
       ( "hitting",
         [

@@ -137,6 +137,25 @@ let test_parse () =
   expect_error "non-diagnose batch member"
     {|{"op":"batch","requests":[{"op":"stats"}]}|}
 
+let test_parse_bounds () =
+  let error payload =
+    match P.parse payload with
+    | Error e -> e
+    | Ok _ -> Alcotest.failf "%s parsed instead of failing" payload
+  in
+  Alcotest.(check string) "k 0" {|field "k" must be at least 1|}
+    (error {|{"op":"diagnose","circuit":"s27","k":0}|});
+  Alcotest.(check string) "k -1 in a batch" {|field "k" must be at least 1|}
+    (error {|{"op":"batch","requests":[{"circuit":"s27","k":-1}]}|});
+  Alcotest.(check string) "negative cap"
+    {|field "max_solutions" must not be negative|}
+    (error {|{"op":"diagnose","circuit":"s27","max_solutions":-1}|});
+  match P.parse {|{"op":"diagnose","circuit":"s27","k":1,"max_solutions":0}|} with
+  | Ok (P.Diagnose d) ->
+      Alcotest.(check (option int)) "k 1" (Some 1) d.P.k;
+      Alcotest.(check int) "cap 0" 0 d.P.max_solutions
+  | _ -> Alcotest.fail "k 1 with cap 0 did not parse"
+
 (* ---------- LRU cache ---------- *)
 
 let test_cache_lru () =
@@ -575,6 +594,7 @@ let () =
           Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
           Alcotest.test_case "malformed frames" `Quick test_frame_malformed;
           Alcotest.test_case "request decoding" `Quick test_parse;
+          Alcotest.test_case "k and cap bounds" `Quick test_parse_bounds;
         ] );
       ( "cache",
         [ Alcotest.test_case "deterministic LRU" `Quick test_cache_lru ] );
