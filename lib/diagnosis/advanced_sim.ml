@@ -24,13 +24,17 @@ let diagnose ?tie_break ?(max_solutions = max_int) ?budget ~k c tests =
   let solutions = ref [] in
   let truncated = ref false in
   let exception Budget in
-  let subset a b = List.for_all (fun x -> List.mem x b) a in
   let record sol =
     (* shrink to an essential subset before recording (Definition 4) *)
     let sol =
-      Validity.essentialize ~check:(fun s -> Validity.check_sim c tests s) sol
+      Sat.Shrink.deletion
+        ~test:(fun s ->
+          if Validity.check_sim c tests s then Sat.Shrink.Holds
+          else Sat.Shrink.Fails)
+        sol
+      |> Result.get_ok
     in
-    if not (List.exists (fun s -> subset s sol) !solutions) then
+    if not (List.exists (fun s -> Solutions.subset s sol) !solutions) then
       solutions := sol :: !solutions
   in
   (* indices of tests not rectifiable by the candidate set *)
@@ -49,7 +53,7 @@ let diagnose ?tie_break ?(max_solutions = max_int) ?budget ~k c tests =
     let key = List.sort Int.compare chosen in
     if not (Hashtbl.mem visited key) then begin
       Hashtbl.add visited key ();
-      if List.exists (fun s -> subset s key) !solutions then ()
+      if List.exists (fun s -> Solutions.subset s key) !solutions then ()
       else
         match unrectified chosen with
         | [] -> if chosen <> [] then record key
@@ -66,16 +70,9 @@ let diagnose ?tie_break ?(max_solutions = max_int) ?budget ~k c tests =
   in
   (try go [] with Budget -> ());
   (* a larger solution may have been recorded before a subset was found *)
-  let essential_only =
-    List.filter
-      (fun s ->
-        not (List.exists (fun s' -> s' <> s && subset s' s) !solutions))
-      !solutions
-    |> List.sort_uniq compare
-  in
   {
     bsim;
-    solutions = essential_only;
+    solutions = List.sort_uniq compare (Solutions.minimal_only !solutions);
     sim_time;
     search_time = Obs.Clock.wall () -. start;
     truncated = !truncated;

@@ -21,16 +21,6 @@ let irredundant solution sets =
     (fun g -> not (covers (List.filter (( <> ) g) solution) sets))
     solution
 
-(* Greedy reduction of a cover to an irredundant core: drop every element
-   whose removal leaves the sets covered.  Deterministic (scans in sorted
-   order), so both engines see the same canonical solution. *)
-let irredundant_core solution sets =
-  List.fold_left
-    (fun kept g ->
-      let without = List.filter (( <> ) g) kept in
-      if covers without sets then without else kept)
-    solution solution
-
 (* ---------- SAT engine (the paper's setup: covering solved by Zchaff) *)
 
 (* One worker's covering instance: variables over the sorted union,
@@ -72,7 +62,11 @@ let cover_instance ~k sets =
        space matches the backtrack oracle's (condition (b) of Fig. 4);
        blocking the core also blocks every redundant superset, so the
        level still terminates. *)
-    irredundant_core (List.sort Int.compare !sol) sets
+    Sat.Shrink.deletion
+      ~test:(fun s ->
+        if covers s sets then Sat.Shrink.Holds else Sat.Shrink.Fails)
+      (List.sort Int.compare !sol)
+    |> Result.get_ok
   in
   let block sol =
     Sat.Solver.add_clause solver

@@ -81,40 +81,29 @@ let levels ?(extra = []) ?(first = 1) ~found ~max_solutions ~budget ~k inst =
     ~minimise:(fun ~count:_ sol -> Some sol)
     ~found ~max_solutions ~budget ~k inst
 
-(* Deletion shrink inside the instance: candidate gates outside the set
-   are pinned off, members are dropped one at a time while the instance
-   stays satisfiable under the set's size.  [Error] carries the partial
-   set when the budget ends the shrink. *)
 let shrink ~budget ~count inst sol =
   let all_candidates = Array.to_list (Encode.Muxed.candidate_gates inst) in
-  let rec drop kept_rev = function
-    | [] -> Ok (List.sort Int.compare (List.rev kept_rev))
-    | g :: rest -> (
-        (* same membership order as the quadratic kept @ rest original:
-           tie-break order must not change *)
-        let candidate = List.rev_append kept_rev rest in
-        let in_candidate = Hashtbl.create 16 in
-        List.iter (fun h -> Hashtbl.replace in_candidate h ()) candidate;
-        let extra =
-          List.map (Encode.Muxed.select_lit inst) candidate
-          @ List.filter_map
-              (fun h ->
-                if Hashtbl.mem in_candidate h then None
-                else Some (Sat.Lit.negate (Encode.Muxed.select_lit inst h)))
-              all_candidates
-        in
-        count ();
-        match
-          Encode.Muxed.solve_at_most_limited ~extra ~budget inst
-            (List.length candidate)
-        with
-        | Sat.Solver.Solved Sat.Solver.Sat -> drop kept_rev rest
-        | Sat.Solver.Solved Sat.Solver.Unsat -> drop (g :: kept_rev) rest
-        | Sat.Solver.Unknown ->
-            Error
-              (List.sort Int.compare (List.rev_append kept_rev (g :: rest))))
+  let test candidate =
+    let in_candidate = Hashtbl.create 16 in
+    List.iter (fun h -> Hashtbl.replace in_candidate h ()) candidate;
+    let extra =
+      List.map (Encode.Muxed.select_lit inst) candidate
+      @ List.filter_map
+          (fun h ->
+            if Hashtbl.mem in_candidate h then None
+            else Some (Sat.Lit.negate (Encode.Muxed.select_lit inst h)))
+          all_candidates
+    in
+    count ();
+    match
+      Encode.Muxed.solve_at_most_limited ~extra ~budget inst
+        (List.length candidate)
+    with
+    | Sat.Solver.Solved Sat.Solver.Sat -> Sat.Shrink.Holds
+    | Sat.Solver.Solved Sat.Solver.Unsat -> Sat.Shrink.Fails
+    | Sat.Solver.Unknown -> Sat.Shrink.Unknown
   in
-  drop [] sol
+  Sat.Shrink.deletion ~test sol
 
 (* the level loop pinned at level [k], each model shrunk *)
 let single_pass ?(extra = []) ?(keep_cut = true) ~found ~max_solutions ~budget

@@ -6,8 +6,9 @@
     solutions of the instance (Lemmas 1 and 3).  {!Bsat} runs it once
     per portfolio cube, {!Incremental} under an activation guard,
     {!Seq_diag} on the unrolled machine and {!Cover} on the covering
-    instance; {!single_pass} adds the one deletion shrink of a
-    correction ({!Bsat}, {!Hitting}).
+    instance; {!single_pass} adds the in-instance {!shrink} of a
+    correction ({!Bsat}, {!Hitting}; {!Hybrid} shrinks its repair with
+    it).
 
     Every loop stops before a solver call once the shared [found]
     counter reaches [max_solutions] or [budget] is exhausted, and after
@@ -62,6 +63,20 @@ val levels :
     portfolio cube, an activation literal); [found] may be shared with
     other domains. *)
 
+val shrink :
+  budget:Sat.Budget.t ->
+  count:(unit -> unit) ->
+  Encode.Muxed.t ->
+  int list ->
+  (int list, int list) result
+(** [shrink ~budget ~count inst sol] deletion-shrinks a valid correction
+    [sol] (sorted) inside the instance with {!Sat.Shrink.deletion}: the
+    candidates outside the working set are pinned off and a member is
+    dropped while the instance stays satisfiable under the set's size.
+    [count] is called before each solver call.  [Ok] is the essential
+    subset, [Error] the valid superset held when the budget ran out;
+    both sorted. *)
+
 val single_pass :
   ?extra:Sat.Lit.t list ->
   ?keep_cut:bool ->
@@ -72,9 +87,8 @@ val single_pass :
   Encode.Muxed.t ->
   run
 (** The level loop pinned at limit [k]: each model's select set is
-    deletion-shrunk inside the instance (candidates outside it pinned
-    off, members dropped one at a time while it stays satisfiable),
-    then blocked.  A set whose shrink the budget cut short — valid,
-    possibly not essential — is kept with [keep_cut] (default true);
-    with [false] the pass stops without it.  An untruncated pass ends
-    on an [Unsat] call, whose failed-assumption core stays readable. *)
+    deletion-shrunk by {!shrink}, then blocked.  A set whose shrink the
+    budget cut short — valid, possibly not essential — is kept with
+    [keep_cut] (default true); with [false] the pass stops without it.
+    An untruncated pass ends on an [Unsat] call, whose failed-assumption
+    core stays readable. *)

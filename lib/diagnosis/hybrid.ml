@@ -92,24 +92,25 @@ let repair ?marks ?(budget = Sat.Budget.unlimited ()) ?obs ?(certify = false)
     in
     match answer with
     | Sat.Solver.Unknown -> finish None ~exhausted:true
-    | Sat.Solver.Solved Sat.Solver.Sat ->
-        let sol = Encode.Muxed.solution inst in
-        let correction =
-          Validity.essentialize ~check:(fun s -> Validity.check_sat c tests s)
-            sol
-        in
-        let kept_final = List.filter (fun g -> List.mem g seed) correction in
-        finish ~exhausted:false
-          (Some
-             {
-               seed;
-               kept = kept_final;
-               correction;
-               dropped = List.length seed - List.length kept_final;
-               added =
-                 List.length
-                   (List.filter (fun g -> not (List.mem g seed)) correction);
-             })
+    | Sat.Solver.Solved Sat.Solver.Sat -> (
+        match
+          Enumerate.shrink ~budget ~count:(fun () -> incr calls) inst
+            (Encode.Muxed.solution inst)
+        with
+        | Error _ -> finish None ~exhausted:true
+        | Ok correction ->
+            let kept_final, added =
+              List.partition (fun g -> List.mem g seed) correction
+            in
+            finish ~exhausted:false
+              (Some
+                 {
+                   seed;
+                   kept = kept_final;
+                   correction;
+                   dropped = List.length seed - List.length kept_final;
+                   added = List.length added;
+                 }))
     | Sat.Solver.Solved Sat.Solver.Unsat -> (
         match List.rev kept with
         | [] -> finish None ~exhausted:false

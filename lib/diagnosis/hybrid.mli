@@ -10,7 +10,8 @@
     under assumptions that keep the seed gates selected; if that is
     unsatisfiable the least-marked seed gate is dropped, until a valid
     correction extending the remaining seed exists.  The result is then
-    shrunk to essential candidates. *)
+    shrunk to essential candidates on the same live instance
+    ({!Enumerate.shrink}), under the same budget and certification. *)
 
 type guided_result = {
   plain : Outcome.t;  (** plain BSAT *)
@@ -49,10 +50,12 @@ type repair_outcome = {
           suffix — or when the budget died mid-repair (the outcome is
           then [truncated]): a truncated repair is not a correction *)
   outcome : Outcome.t;
-      (** the ladder's run: [solutions] is the final correction (or
+      (** the repair's run: [solutions] is the final correction (or
           none), [truncated] that the [budget] ran out before the search
-          concluded, [solver_calls] the ladder's solves, and the
-          certificates of its answers (with [~certify]) *)
+          concluded (the ladder or the shrink of its model),
+          [solver_calls] the ladder's solves and the shrink's probes,
+          and the certificates of all their answers (with
+          [~certify]) *)
 }
 
 val repair :
@@ -70,6 +73,7 @@ val repair :
     running BSIM internally — [jobs] parallelizes that marking pass
     (the repair search itself is a sequential assumption ladder on one
     live instance).  [certify] verifies every solver answer of the
-    ladder with the {!Encode.Muxed} DRUP discipline.  [obs] brackets
-    the whole repair with a ["hybrid/repair"] [Begin]/[End] event pair
-    ([End] payload = final correction size, 0 on failure). *)
+    ladder and the shrink with the {!Encode.Muxed} DRUP discipline.
+    [obs] brackets the whole repair with a ["hybrid/repair"]
+    [Begin]/[End] event pair ([End] payload = final correction size, 0
+    on failure). *)

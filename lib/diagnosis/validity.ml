@@ -66,12 +66,3 @@ let failing_tests_sim c tests cands =
 
 let essential ~check cands =
   List.for_all (fun g -> not (check (List.filter (( <> ) g) cands))) cands
-
-let essentialize ~check cands =
-  let rec shrink kept = function
-    | [] -> List.rev kept
-    | g :: rest ->
-        let without = List.rev_append kept rest in
-        if check without then shrink kept rest else shrink (g :: kept) rest
-  in
-  shrink [] cands

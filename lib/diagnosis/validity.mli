@@ -42,8 +42,3 @@ val essential :
 (** Whether a valid set contains only essential candidates
     (Definition 4): no proper subset obtained by dropping one gate is
     still valid. *)
-
-val essentialize :
-  check:(int list -> bool) -> int list -> int list
-(** Greedily drop gates while the set stays valid; returns an essential
-    subset.  [check] must hold for the input set. *)

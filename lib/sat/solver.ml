@@ -1587,12 +1587,9 @@ let unsat_core s =
   | None -> invalid_arg "Solver.unsat_core: last answer was not Unsat"
   | Some codes -> List.map Lit.of_code codes
 
-(* Deletion-based core minimization.  The working set only ever
-   shrinks, so every intermediate set is a superset of the result; a
-   candidate whose removal still answers Unsat is dropped (and the
-   fresh failed-assumption core — intersected with the remaining
-   candidates, so callback-injected extras cannot leak in — may drop
-   several more at once); Sat or Unknown keeps it. *)
+(* Unsat drops the literal and narrows to the fresh failed-assumption
+   core (intersected with the working set, so callback-injected extras
+   cannot leak in); Sat or Unknown keeps it. *)
 let shrink_core ?solve ?budget s core =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let resolve assumptions =
@@ -1600,19 +1597,14 @@ let shrink_core ?solve ?budget s core =
     | Some f -> f assumptions
     | None -> solve_limited ~assumptions ~budget s
   in
-  let rec shrink kept_rev = function
-    | [] -> List.rev kept_rev
-    | l :: rest -> (
-        (* same membership order as the quadratic kept @ rest original *)
-        let candidate = List.rev_append kept_rev rest in
-        match resolve candidate with
-        | Solved Unsat ->
-            let refined = unsat_core s in
-            let mem x = List.exists (Lit.equal x) refined in
-            shrink (List.filter mem kept_rev) (List.filter mem rest)
-        | Solved Sat | Unknown -> shrink (l :: kept_rev) rest)
+  let test candidate =
+    match resolve candidate with
+    | Solved Unsat ->
+        let refined = unsat_core s in
+        Shrink.Holds_within (fun x -> List.exists (Lit.equal x) refined)
+    | Solved Sat | Unknown -> Shrink.Fails
   in
-  if core = [] then [] else shrink [] core
+  match Shrink.deletion ~test core with Ok core | Error core -> core
 
 let activity_of s v = if v < s.nvars then s.activity.(v) else 0.0
 

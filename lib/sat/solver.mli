@@ -71,11 +71,11 @@ val shrink_core :
   t ->
   Lit.t list ->
   Lit.t list
-(** Deletion-based minimization of a failed-assumption core: each
-    literal is dropped in turn and the remainder re-solved; an [Unsat]
-    answer discards it (and refines the remainder by the fresh
-    {!unsat_core}, which may discard several literals at once), a [Sat]
-    or [Unknown] answer keeps it.  On an unlimited [budget] the result
+(** Deletion-based minimization of a failed-assumption core
+    ({!Shrink.deletion}): each literal is dropped in turn and the
+    remainder re-solved; an [Unsat] answer discards it (and refines the
+    remainder by the fresh {!unsat_core}, which may discard several
+    literals at once), a [Sat] or [Unknown] answer keeps it.  On an unlimited [budget] the result
     is irreducible — no proper subset of it is a core; when the budget
     dies mid-shrink the result is still a core, just possibly
     non-minimal (every kept literal set is a superset of a core).

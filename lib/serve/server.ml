@@ -260,10 +260,6 @@ let no_effort =
   { Diagnosis.Incremental.outcome = Diagnosis.Outcome.empty; reused = 0;
     revalidated = 0 }
 
-let empty_response ~(d : Protocol.diagnose) ~ckey ~warm ~faulty ~injected ~k =
-  diagnose_response ~d ~ckey ~warm ~faulty ~injected ~ntests:0 ~k
-    Diagnosis.Outcome.empty
-
 (* what [serve_one] hands back to the scheduler, beyond the response:
    the per-request effort and (when tracing) the captured engine events
    the main domain stitches into the session trace *)
@@ -298,40 +294,8 @@ let serve_one ~tracing registry ctx (d : Protocol.diagnose) =
   in
   let faulty = ensure_faulty ctx in
   let m = max 0 d.Protocol.tests in
-  let run_cold () =
-    (* deterministic one-shot: fresh tests, fresh instance — used for
-       first contact and for requests shrinking the test count *)
-    let tests = gen_tests ~golden:ctx.golden ~faulty ~seed:ctx.seed ~wanted:m in
-    if tests = [] then (None, [], tests) else begin
-      let inc =
-        Diagnosis.Incremental.create ?obs ~certify:ctx.certify ~k:ctx.k faulty
-          tests
-      in
-      let o = run_engine inc in
-      (Some inc, [ o ], tests)
-    end
-  in
   let resp, warm =
     match ctx.inc with
-    | None -> (
-        (* cold: first solving use of this context *)
-        let inc, outcomes, tests = run_cold () in
-        if m >= ctx.wanted then begin
-          ctx.wanted <- m;
-          ctx.tests <- tests;
-          ctx.inc <- inc
-        end
-        else Option.iter Diagnosis.Incremental.retire inc;
-        match outcomes with
-        | [ (o, stats) ] ->
-            ( diagnose_response ~d ~ckey:ctx.ckey ~warm:false ~faulty
-                ~injected:ctx.injected ~ntests:(List.length tests) ~k:ctx.k
-                ?stats o,
-              false )
-        | _ ->
-            ( empty_response ~d ~ckey:ctx.ckey ~warm:false ~faulty
-                ~injected:ctx.injected ~k:ctx.k,
-              false ))
     | Some inc when m >= ctx.wanted ->
         (* warm hit; grow the live instance first if more tests are
            asked for (prefix stability makes the grown instance equal a
@@ -352,22 +316,34 @@ let serve_one ~tracing registry ctx (d : Protocol.diagnose) =
             ~injected:ctx.injected ~ntests:(List.length ctx.tests) ~k:ctx.k
             ?stats o,
           true )
-    | Some _ -> (
-        (* shrinking the test count cannot reuse the live instance
-           (tests are clauses, not assumptions); serve a throwaway cold
-           run and leave the cached state untouched *)
-        let inc, outcomes, tests = run_cold () in
-        Option.iter Diagnosis.Incremental.retire inc;
-        match outcomes with
-        | [ (o, stats) ] ->
-            ( diagnose_response ~d ~ckey:ctx.ckey ~warm:false ~faulty
-                ~injected:ctx.injected ~ntests:(List.length tests) ~k:ctx.k
-                ?stats o,
-              false )
-        | _ ->
-            ( empty_response ~d ~ckey:ctx.ckey ~warm:false ~faulty
-                ~injected:ctx.injected ~k:ctx.k,
-              false ))
+    | cached ->
+        (* cold: a deterministic one-shot run, fresh tests and a fresh
+           instance.  It becomes the context on first contact; a request
+           shrinking the test count cannot reuse the live instance
+           (tests are clauses, not assumptions), so its run is thrown
+           away and the cached state left untouched *)
+        let tests =
+          gen_tests ~golden:ctx.golden ~faulty ~seed:ctx.seed ~wanted:m
+        in
+        let inc, (o, stats) =
+          if tests = [] then (None, (Diagnosis.Outcome.empty, None))
+          else
+            let inc =
+              Diagnosis.Incremental.create ?obs ~certify:ctx.certify ~k:ctx.k
+                faulty tests
+            in
+            (Some inc, run_engine inc)
+        in
+        if Option.is_none cached && m >= ctx.wanted then begin
+          ctx.wanted <- m;
+          ctx.tests <- tests;
+          ctx.inc <- inc
+        end
+        else Option.iter Diagnosis.Incremental.retire inc;
+        ( diagnose_response ~d ~ckey:ctx.ckey ~warm:false ~faulty
+            ~injected:ctx.injected ~ntests:(List.length tests) ~k:ctx.k ?stats
+            o,
+          false )
   in
   {
     sr_resp = resp;

@@ -136,7 +136,11 @@ let test_validity_essential () =
     (Diagnosis.Validity.essential ~check [ g "A"; g "B"; g "C" ]);
   Alcotest.(check (list int)) "essentialize keeps a valid core" [ g "A"; g "B" ]
     (sorted
-       (Diagnosis.Validity.essentialize ~check [ g "C"; g "A"; g "B" ]
+       (Sat.Shrink.deletion
+          ~test:(fun s ->
+            if check s then Sat.Shrink.Holds else Sat.Shrink.Fails)
+          [ g "C"; g "A"; g "B" ]
+       |> Result.get_ok
        |> fun s -> if check s then s else [ -1 ]))
 
 let prop_validity_engines_agree =
@@ -278,6 +282,84 @@ let prop_cov_solutions_cover_and_irredundant =
                    (Diagnosis.Cover.covers (List.filter (( <> ) g) sol) sets))
                sol)
         r.Diagnosis.Cover.solutions)
+
+(* ---------- the deletion loop ---------- *)
+
+let rec subsequence a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: a', y :: b' -> if x = y then subsequence a' b' else subsequence a b'
+
+(* Sat.Shrink.deletion against its own definition, on the monotone
+   property "hits every set of a random family": the result holds, no
+   drop-one subset of it holds (checked here, not by the loop), it is a
+   sub-list of the input, and it took one probe per input element.  A
+   second run answering Unknown at probe [i] returns the first run's
+   kept elements among the first i - 1 inputs, then the untested suffix
+   intact. *)
+let prop_deletion_loop =
+  QCheck.Test.make ~count:300
+    ~name:"deletion loop: essential sub-list, one probe each"
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, stop) ->
+      let rng = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int rng 10 in
+      let family =
+        Array.init (Random.State.int rng 6) (fun _ ->
+            match
+              List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id)
+            with
+            | [] -> [ Random.State.int rng n ]
+            | s -> s)
+      in
+      let holds s = Diagnosis.Cover.covers s family in
+      (* a random subset topped up to a hitter, in random order *)
+      let input =
+        let some =
+          List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id)
+        in
+        Array.fold_left
+          (fun acc set ->
+            if List.exists (fun g -> List.mem g acc) set then acc
+            else List.hd set :: acc)
+          some family
+        |> List.map (fun g -> (Random.State.bits rng, g))
+        |> List.sort compare |> List.map snd
+      in
+      let probes = ref 0 in
+      let verdict s =
+        incr probes;
+        if holds s then Sat.Shrink.Holds else Sat.Shrink.Fails
+      in
+      match Sat.Shrink.deletion ~test:verdict input with
+      | Error _ -> false
+      | Ok r -> (
+          holds r
+          && List.for_all (fun x -> not (holds (List.filter (( <> ) x) r))) r
+          && subsequence r input
+          && !probes = List.length input
+          &&
+          match input with
+          | [] -> true
+          | _ -> (
+              let i = 1 + (stop mod List.length input) in
+              probes := 0;
+              let cut s =
+                if !probes = i - 1 then begin
+                  incr probes;
+                  Sat.Shrink.Unknown
+                end
+                else verdict s
+              in
+              let tested = List.filteri (fun j _ -> j < i - 1) input
+              and untested = List.filteri (fun j _ -> j >= i - 1) input in
+              match Sat.Shrink.deletion ~test:cut input with
+              | Ok _ -> false
+              | Error e ->
+                  !probes = i
+                  && e
+                     = List.filter (fun x -> List.mem x r) tested @ untested)))
 
 (* ---------- BSAT ---------- *)
 
@@ -708,6 +790,44 @@ let test_hybrid_repair_fig5a () =
   | Some r ->
       Alcotest.(check bool) "result valid" true
         (Diagnosis.Validity.check_sim c [ t ] r.Diagnosis.Hybrid.correction)
+
+(* the repair shrinks on its own live instance: its probes are solver
+   calls of the outcome, certified with the ladder, and bounded by the
+   repair's budget *)
+let test_hybrid_repair_shrink_counted () =
+  let c, t = Bench_suite.Paper_circuits.fig5a in
+  let out = Diagnosis.Hybrid.repair ~certify:true ~k:1 ~seed:[] c [ t ] in
+  let o = out.Diagnosis.Hybrid.outcome in
+  (match out.Diagnosis.Hybrid.repaired with
+  | None -> Alcotest.fail "repair must succeed"
+  | Some r ->
+      Alcotest.(check int) "a single correction" 1
+        (List.length r.Diagnosis.Hybrid.correction));
+  Alcotest.(check int) "the ladder's solve and one shrink probe" 2
+    o.Diagnosis.Outcome.solver_calls;
+  Alcotest.(check int) "every answer certified" 2
+    o.Diagnosis.Outcome.cert_checks;
+  Alcotest.(check (list string)) "no failed certificate" []
+    o.Diagnosis.Outcome.cert_failures;
+  (* a propagation budget the ladder's first solve uses up exactly *)
+  let solver = Sat.Solver.create () in
+  let inst = Encode.Muxed.build ~max_k:1 solver c [ t ] in
+  let before = (Sat.Solver.stats solver).Sat.Solver.propagations in
+  (match
+     Encode.Muxed.solve_at_most_limited ~budget:(Sat.Budget.unlimited ())
+       inst 1
+   with
+  | Sat.Solver.Solved Sat.Solver.Sat -> ()
+  | _ -> Alcotest.fail "the ladder's first solve answers Sat");
+  let used = (Sat.Solver.stats solver).Sat.Solver.propagations - before in
+  let budget = Sat.Budget.create ~propagations:used () in
+  let cut = Diagnosis.Hybrid.repair ~budget ~k:1 ~seed:[] c [ t ] in
+  Alcotest.(check bool) "a cut shrink is no correction" true
+    (cut.Diagnosis.Hybrid.repaired = None);
+  Alcotest.(check bool) "truncated" true
+    cut.Diagnosis.Hybrid.outcome.Diagnosis.Outcome.truncated;
+  Alcotest.(check int) "the ladder's solve and the cut probe" 2
+    cut.Diagnosis.Hybrid.outcome.Diagnosis.Outcome.solver_calls
 
 let prop_hybrid_repair_valid =
   QCheck.Test.make ~count:20 ~name:"repair always returns a valid correction"
@@ -1367,6 +1487,7 @@ let qtests =
       prop_cov_engines_agree;
       prop_cov_solutions_cover_and_irredundant;
       prop_cover_engines_on_raw_instances;
+      prop_deletion_loop;
       prop_bsat_solutions_valid;
       prop_bsat_complete;
       prop_bsat_finds_error_subset;
@@ -1444,7 +1565,11 @@ let () =
             test_zero_budget_every_engine;
         ] );
       ( "hybrid",
-        [ Alcotest.test_case "repair fig5a" `Quick test_hybrid_repair_fig5a ] );
+        [
+          Alcotest.test_case "repair fig5a" `Quick test_hybrid_repair_fig5a;
+          Alcotest.test_case "repair shrink counted" `Quick
+            test_hybrid_repair_shrink_counted;
+        ] );
       ( "incremental",
         [
           Alcotest.test_case "re-enumeration stable" `Quick
