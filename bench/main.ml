@@ -259,9 +259,7 @@ let hybrid cfg =
           (spec.Bench_suite.Workload.label, Obs.to_json ~times:false obs)
           :: !blocks;
         let repair_summary =
-          let cov =
-            Diagnosis.Cover.diagnose ~max_solutions:1 ~k faulty tests
-          in
+          let cov = Diagnosis.Hybrid.cov_seed ~k faulty tests in
           match cov.Diagnosis.Cover.solutions with
           | [] -> "no seed"
           | seed :: _ -> (

@@ -152,8 +152,8 @@ let advsat e =
 
 let hybrid e =
   let cov =
-    Core.Cover.diagnose ~max_solutions:1 ?budget:e.sim_budget ?obs:e.obs
-      ~jobs:e.jobs ~k:e.k e.faulty e.tests
+    Core.Hybrid.cov_seed ?budget:e.sim_budget ?obs:e.obs ~jobs:e.jobs ~k:e.k
+      e.faulty e.tests
   in
   match cov.Core.Cover.solutions with
   | [] ->

@@ -60,6 +60,20 @@ let diagnose ?candidates ?force_zero ?(hints = no_hints)
     ?(certify = false) ?(jobs = 1) ~k c tests =
   let jobs = Par.clamp_jobs jobs in
   let found = Atomic.make 0 in
+  (* Lemma 1 by simulation: the gates whose flip alone corrects every
+     failing test.  Every other candidate gets a clause saying so, which
+     settles level 1 by propagation; a certified run's checker could not
+     justify those clauses, so it proves level 1 by search *)
+  let t0 = Obs.Clock.wall () in
+  let is_single =
+    if certify || k < 1 then None
+    else begin
+      let a = Array.make (Netlist.Circuit.size c) false in
+      List.iter (fun g -> a.(g) <- true) (Validity.singles c tests);
+      Some a
+    end
+  in
+  let singles_time = Obs.Clock.wall () -. t0 in
   let worker w =
     (* one worker records straight into the caller's registry *)
     let reg =
@@ -73,9 +87,15 @@ let diagnose ?candidates ?force_zero ?(hints = no_hints)
           Encode.Muxed.build ?candidates ?force_zero ~certify ~max_k:k solver c
             tests)
     in
+    let cands = Encode.Muxed.candidate_gates inst in
+    Option.iter
+      (fun single ->
+        Array.iter
+          (fun g -> if not single.(g) then Encode.Muxed.rule_out_single inst g)
+          cands)
+      is_single;
     apply_hints solver inst hints;
     let cnf_time = Obs.Clock.wall () -. wt0 in
-    let cands = Encode.Muxed.candidate_gates inst in
     (* branching diversity between otherwise-identical workers: odd
        workers try selects on first, later workers bump select activity *)
     let select_var g = Sat.Lit.var (Encode.Muxed.select_lit inst g) in
@@ -129,6 +149,7 @@ let diagnose ?candidates ?force_zero ?(hints = no_hints)
   (* per-worker certification composes: each worker certifies its own
      cubes' answers, and the cubes cover the solution space *)
   let total = Outcome.sum (List.map (fun w -> w.run) workers) in
+  let total = { total with cnf_time = singles_time +. total.cnf_time } in
   let merged = Solutions.canonical total.solutions in
   (* one cube already yields an antichain.  Across cubes, a solution of
      size <= fence+1 that is not essential contains an essential one of

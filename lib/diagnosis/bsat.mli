@@ -60,6 +60,14 @@ val diagnose :
     [force_zero] adds the s=0 ⇒ c=0 pruning clauses; [hints] biases the
     solver's decision heuristic (the §6 hybrid).
 
+    Without [certify], Lemma 1 is read off the simulation first:
+    {!Validity.singles} runs once, and every candidate that is no
+    single correction gets the implied clause of
+    {!Encode.Muxed.rule_out_single}, so the level-1 Unsat call ends by
+    unit propagation.  Under an unlimited budget the solutions,
+    [truncated] and [solver_calls] are those of the certified run,
+    which adds no such clause.
+
     [certify] (default false) independently verifies every solver answer
     behind the enumeration ({!Encode.Muxed.build}'s certification mode):
     [Sat] answers by model evaluation, [Unsat] answers — each

@@ -24,6 +24,10 @@ let guided ?max_solutions ?budget ?obs ?jobs ~k c tests =
   in
   { plain; guided }
 
+let cov_seed ?budget ?obs ?jobs ~k c tests =
+  Cover.diagnose ~engine:Cover.Backtrack_engine ~max_solutions:1 ?budget ?obs
+    ?jobs ~k c tests
+
 type repair_result = {
   seed : int list;
   kept : int list;

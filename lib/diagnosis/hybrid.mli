@@ -36,6 +36,21 @@ val guided :
     [obs] records the two runs under ["hybrid/plain/..."] and
     ["hybrid/guided/..."]. *)
 
+val cov_seed :
+  ?budget:Sat.Budget.t ->
+  ?obs:Obs.t ->
+  ?jobs:int ->
+  k:int ->
+  Netlist.Circuit.t ->
+  Sim.Testgen.test list ->
+  Cover.result
+(** The seed of {!repair}: the first irredundant cover of the
+    branch-and-bound covering oracle ({!Cover.diagnose} with
+    [Backtrack_engine], capped at one solution).  It involves no SAT
+    solver, so the seed depends neither on [jobs] (which only widens the
+    BSIM pass) nor on the solver's schedule.  The result is [truncated]
+    whenever a cover was found: the cap is the point. *)
+
 type repair_result = {
   seed : int list;          (** the initial (possibly invalid) correction *)
   kept : int list;          (** seed gates that survived *)

@@ -299,6 +299,16 @@ let block ?unless t gates =
      checker (and any mirror) must see blocking clauses too *)
   t.emit.Emit.clause clause
 
+let rule_out_single t g =
+  match Hashtbl.find_opt t.group_of g with
+  | None -> invalid_arg "Muxed.rule_out_single: non-candidate gate"
+  | Some i ->
+      let bound =
+        Cardinality.bound_assumption t.counter (min 1 (num_groups t))
+      in
+      t.emit.Emit.clause
+        (Lit.negate (Lit.pos t.selects.(i)) :: List.map Lit.negate bound)
+
 let assert_clause t lits = t.emit.Emit.clause lits
 let fresh_activation t = Lit.pos (t.emit.Emit.fresh ())
 

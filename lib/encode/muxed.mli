@@ -122,6 +122,20 @@ val block : ?unless:Sat.Lit.t -> t -> int list -> unit
     takes effect while the literal is assumed true, so a whole
     enumeration can be retired (incremental diagnosis). *)
 
+val rule_out_single : t -> int -> unit
+(** [rule_out_single t g] adds, through the emit hook, the clause
+    [¬s_g ∨ ¬b] for the literals [b] of the "at most 1" bound: under
+    that bound the group of [g] is never selected.  The clause says
+    that [g]'s group alone corrects nothing, so it is implied by the
+    instance exactly when that group is not a valid correction on its
+    own (the paper's Lemma 1, decided by simulation); with every such
+    group ruled out and the valid ones blocked, the level-1 Unsat
+    answer follows by unit propagation.  The clause is no RUP
+    consequence: a certified instance's checker would take it as an
+    input it cannot verify, so only uncertified instances should get
+    it.  Requires [max_k >= 1].
+    @raise Invalid_argument for non-candidates. *)
+
 val assert_clause : t -> Sat.Lit.t list -> unit
 (** Add an arbitrary clause through the instance's emit hook, so mirrors
     and the certification checker stay in sync with the solver.  Used to

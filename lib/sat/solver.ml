@@ -203,7 +203,7 @@ let create () =
     cla_inc = 1.0;
     max_learnts = 1000.0;
     simp_interval = 1000;
-    simp_next = 1000;
+    simp_next = 0;  (* the first round runs before the first search *)
     ok = true;
     model_valid = false;
     final_model = [||];
@@ -938,20 +938,26 @@ let add_clause_codes s codes =
             | 0 -> clean acc rest
             | _ -> clean (l :: acc) rest)
       in
-      clean [] sorted
+      let lits = clean [] sorted in
+      (lits, List.compare_lengths lits sorted < 0)
     with
     | exception Trivial_clause -> ()
-    | [] ->
+    | [], _ ->
         s.ok <- false;
         proof_add s [||]
-    | [ l ] ->
+    | [ l ], _ ->
         enqueue s l (-1);
         if propagate s >= 0 then begin
           s.ok <- false;
           proof_add s [||]
         end
-    | lits ->
-        let cr = alloc_clause s (Array.of_list lits) ~learnt:false in
+    | lits, shortened ->
+        let codes = Array.of_list lits in
+        (* the proof holds the clause as given: one stored without its
+           root-false literals enters it too (RUP by the root units), so
+           an inprocessing deletion names a clause the checker holds *)
+        if shortened then proof_add s codes;
+        let cr = alloc_clause s codes ~learnt:false in
         ivec_push s.clauses cr;
         attach s cr
   end
@@ -1175,35 +1181,32 @@ let vivify_pass s occs =
    on [elim_stack] for model reconstruction and on-demand restoration —
    the checker keeping them is sound (a superset only propagates more). *)
 let bve_pass s occs =
-  let resolve pcodes ncodes v =
-    (* merge, dropping the pivot; None for tautologies *)
-    let codes =
-      List.sort_uniq Int.compare
-        (List.filter
-           (fun l -> l lsr 1 <> v)
-           (Array.to_list pcodes @ Array.to_list ncodes))
+  (* [stamp.(l) = tick] marks the literals of the positive clause being
+     resolved; one tick per positive clause, so no clearing *)
+  let stamp = Array.make (2 * s.cap) 0 and tick = ref 0 in
+  let root_sat codes = Array.exists (fun l -> lit_value s l = 1) codes in
+  let mark codes =
+    incr tick;
+    Array.iter (fun l -> stamp.(l) <- !tick) codes
+  in
+  (* the resolvent of the marked clause and [ncodes] on [x] is
+     non-trivial: neither side is root-satisfied (checked by the caller)
+     and no literal of [ncodes] but the pivot meets its negation *)
+  let non_trivial ncodes x =
+    Array.for_all (fun l -> l lsr 1 = x || stamp.(l lxor 1) <> !tick) ncodes
+  in
+  (* the non-trivial resolvent of the marked clause and [ncodes]: the
+     union without the pivot and without root-false literals, sorted *)
+  let resolve pcodes ncodes x =
+    let lits = ref [] in
+    let push l =
+      if l lsr 1 <> x && lit_value s l <> 0 then lits := l :: !lits
     in
-    let rec tauto = function
-      | a :: (b :: _ as rest) -> (a lxor 1) = b || tauto rest
-      | _ -> false
-    in
-    if tauto codes then None
-    else begin
-      (* normalize against the root assignment *)
-      let sat = ref false in
-      let lits =
-        List.filter
-          (fun l ->
-            match lit_value s l with
-            | 1 ->
-                sat := true;
-                false
-            | 0 -> false
-            | _ -> true)
-          codes
-      in
-      if !sat then None else Some (Array.of_list lits)
-    end
+    Array.iter push pcodes;
+    Array.iter (fun l -> if stamp.(l) <> !tick then push l) ncodes;
+    let out = Array.of_list !lits in
+    Array.sort Int.compare out;
+    out
   in
   let live ivec =
     let out = ref [] in
@@ -1224,15 +1227,40 @@ let bve_pass s occs =
       let pos = live occs.(2 * x) and neg = live occs.((2 * x) + 1) in
       let np = List.length pos and nn = List.length neg in
       if np + nn > 0 && np <= 8 && nn <= 8 then begin
-        let resolvents =
-          List.concat_map
-            (fun p ->
-              List.filter_map
-                (fun nr -> resolve (c_codes s p) (c_codes s nr) x)
-                neg)
-            pos
+        (* each side's literals once, root-satisfied clauses dropped:
+           they resolve to nothing *)
+        let side crs =
+          List.filter_map
+            (fun cr ->
+              let codes = c_codes s cr in
+              if root_sat codes then None else Some codes)
+            crs
         in
-        if List.length resolvents <= np + nn then begin
+        let pcs = side pos and ncs = side neg in
+        (* count non-trivial resolvents, stopping once past np + nn *)
+        let limit = np + nn in
+        let count = ref 0 in
+        List.iter
+          (fun pcodes ->
+            if !count <= limit then begin
+              mark pcodes;
+              List.iter
+                (fun ncodes -> if non_trivial ncodes x then incr count)
+                ncs
+            end)
+          pcs;
+        if !count <= limit then begin
+          let resolvents =
+            List.concat_map
+              (fun pcodes ->
+                mark pcodes;
+                List.filter_map
+                  (fun ncodes ->
+                    if non_trivial ncodes x then Some (resolve pcodes ncodes x)
+                    else None)
+                  ncs)
+              pcs
+          in
           s.s_eliminated <- s.s_eliminated + 1;
           (* proof: all resolvents first, then the learnt originals'
              deletions (their RUP checks need the originals live) *)

@@ -149,8 +149,9 @@ val simplify : t -> unit
     variables are restored transparently when they reappear in an added
     clause or an assumption; models returned by later [solve] calls are
     extended over them, so callers never observe the elimination.
-    The solver also triggers this pass on its own on a doubling
-    conflict-count cadence. *)
+    The solver also triggers this pass on its own: once at the start of
+    the first [solve]/[solve_limited] call, before any search, and then
+    on a doubling conflict-count cadence. *)
 
 val attach_obs : ?prefix:string -> t -> Obs.t -> unit
 (** Record per-conflict effort distributions into the registry's

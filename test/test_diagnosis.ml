@@ -450,6 +450,37 @@ let test_bsat_first_solution_minimum () =
       in
       Alcotest.(check int) "minimum size" min_size (List.length sol)
 
+(* Lemma 1 clauses: with every candidate that is no single correction
+   ruled out and every single blocked, the level-1 Unsat answer needs no
+   decision; without them the same call searches *)
+let test_lemma1_clauses_settle_level1 () =
+  (* two-error instances with no single correction (seed 1) and with
+     three (seed 29) *)
+  let level1 ~clauses seed =
+    let _, faulty, _, tests = workload seed 2 in
+    let singles = Diagnosis.Validity.singles faulty tests in
+    let solver = Sat.Solver.create () in
+    let inst = Encode.Muxed.build ~max_k:2 solver faulty tests in
+    Array.iter
+      (fun g ->
+        if List.mem g singles then Encode.Muxed.block inst [ g ]
+        else if clauses then Encode.Muxed.rule_out_single inst g)
+      (Encode.Muxed.candidate_gates inst);
+    let before = (Sat.Solver.stats solver).decisions in
+    let r = Encode.Muxed.solve_at_most inst 1 in
+    (r = Sat.Solver.Unsat, (Sat.Solver.stats solver).decisions - before)
+  in
+  List.iter
+    (fun seed ->
+      let unsat, decisions = level1 ~clauses:true seed in
+      Alcotest.(check bool) "level 1 Unsat" true unsat;
+      Alcotest.(check int) "no decision" 0 decisions;
+      let unsat, decisions = level1 ~clauses:false seed in
+      Alcotest.(check bool) "level 1 Unsat without the clauses" true unsat;
+      Alcotest.(check bool) "searched without the clauses" true
+        (decisions > 0))
+    [ 1; 29 ]
+
 (* ---------- budgets and telemetry ---------- *)
 
 let test_bsat_budget_prefix () =
@@ -1543,6 +1574,8 @@ let () =
         [
           Alcotest.test_case "first solution minimal" `Quick
             test_bsat_first_solution_minimum;
+          Alcotest.test_case "Lemma 1 clauses settle level 1" `Quick
+            test_lemma1_clauses_settle_level1;
         ] );
       ( "budget",
         [

@@ -259,6 +259,32 @@ let prop_containment_relations =
                   bsat.Diagnosis.Bsat.solutions))
         [ 1; 4 ])
 
+(* An uncertified BSAT run adds a Lemma 1 clause for every candidate
+   that is no single correction; a certified run adds none.  The clauses
+   are implied by the instance, so both runs find the same solutions
+   with the same solver calls, level 1 included. *)
+let prop_lemma1_clauses_transparent =
+  QCheck.Test.make ~count:30
+    ~name:"Lemma 1 clauses: uncertified BSAT = certified BSAT" diag_gen
+    (fun params ->
+      let golden, faulty, _ = diag_workload params in
+      let tests =
+        Sim.Testgen.generate ~seed:17 ~max_vectors:1024 ~wanted:5 ~golden
+          ~faulty
+      in
+      QCheck.assume (tests <> []);
+      List.for_all
+        (fun k ->
+          let plain = Diagnosis.Bsat.diagnose ~k faulty tests in
+          let certified =
+            Diagnosis.Bsat.diagnose ~certify:true ~k faulty tests
+          in
+          plain.solutions = certified.solutions
+          && plain.truncated = certified.truncated
+          && plain.solver_calls = certified.solver_calls
+          && certified.cert_failures = [])
+        [ 1; 2; 3 ])
+
 (* The hitting-set engine against three independent referees: BSAT's
    direct enumeration, a brute-force subset oracle on the smaller
    instances, and its own budget-truncated runs — at jobs 1/2/4 and
@@ -339,4 +365,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest [ prop_containment_relations ] );
       ( "hitting",
         List.map QCheck_alcotest.to_alcotest [ prop_hitting_differential ] );
+      ( "lemma 1",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_lemma1_clauses_transparent ] );
     ]

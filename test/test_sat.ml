@@ -373,9 +373,18 @@ let test_shrink_core_redundant () =
   (* crafted so the raw core is NOT minimal: assuming b first propagates
      x through (-b | x), then assuming a falsifies (-a | -x), so
      analyzeFinal charges BOTH assumptions — but a alone already
-     conflicts through (-a | x) and (-a | -x).  The known minimum is
-     {a}. *)
-  let s = solver_of_lists [ [ -2; 3 ]; [ -1; -3 ]; [ -1; 3 ] ] in
+     conflicts through (-a | y), (-y | x) and (-a | -x).  The known
+     minimum is {a}.  The inprocessing round before the first search
+     must not derive the unit -a, or the raw core is {a} already: a
+     direct (-a | x) would strengthen (-a | -x) to -a by
+     self-subsumption, and bounded variable elimination would resolve
+     x away.  The detour through y avoids the first; seven padding
+     clauses (x | p), each p pure and eliminated after x is passed
+     over, give x more than eight positive occurrences and so keep it. *)
+  let padding = List.init 7 (fun i -> [ 3; 5 + i ]) in
+  let s =
+    solver_of_lists ([ [ -2; 3 ]; [ -1; -3 ]; [ -1; 4 ]; [ -4; 3 ] ] @ padding)
+  in
   let b = Sat.Lit.of_dimacs 2 and a = Sat.Lit.of_dimacs 1 in
   Alcotest.(check bool) "unsat under [b; a]" true
     (Sat.Solver.solve ~assumptions:[ b; a ] s = Sat.Solver.Unsat);
