@@ -176,9 +176,9 @@ let figure5 _cfg =
 let ablation cfg =
   Fmt.pr "== Ablation: advanced SAT-based heuristics (scale %.2f) ==@."
     cfg.scale;
-  Fmt.pr "%-10s %2s %3s | %9s %9s %9s %9s %9s@." "I" "p" "m" "plain" "s=>c"
-    "min-pass" "2-pass" "partition";
-  Fmt.pr "%s@." (String.make 70 '-');
+  Fmt.pr "%-10s %2s %3s | %9s %9s %9s %9s@." "I" "p" "m" "plain" "min-pass"
+    "2-pass" "partition";
+  Fmt.pr "%s@." (String.make 60 '-');
   let specs =
     Bench_suite.Workload.small_specs ()
     @ Bench_suite.Workload.paper_specs ~scale:(cfg.scale /. 2.0)
@@ -202,11 +202,6 @@ let ablation cfg =
           time (fun () ->
               Diagnosis.Bsat.diagnose ~max_solutions ~k faulty tests)
         in
-        let t_fz =
-          time (fun () ->
-              Diagnosis.Bsat.diagnose ~force_zero:true ~max_solutions ~k
-                faulty tests)
-        in
         let t_min =
           time (fun () ->
               Diagnosis.Bsat.diagnose
@@ -223,9 +218,9 @@ let ablation cfg =
               Diagnosis.Advanced_sat.diagnose_partitioned ~slice:4
                 ~max_solutions ~k faulty tests)
         in
-        Fmt.pr "%-10s %2d %3d | %9.3f %9.3f %9.3f %9.3f %9.3f@."
-          spec.Bench_suite.Workload.label k (List.length tests) t_plain t_fz
-          t_min t_dom t_part
+        Fmt.pr "%-10s %2d %3d | %9.3f %9.3f %9.3f %9.3f@."
+          spec.Bench_suite.Workload.label k (List.length tests) t_plain t_min
+          t_dom t_part
       end)
     specs;
   Fmt.pr "@."

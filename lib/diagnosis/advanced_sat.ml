@@ -40,8 +40,8 @@ let diagnose_dominators ?max_solutions ?budget ?obs ?certify ?jobs
     Telemetry.phase obs name
       ~payload:(fun r -> List.length r.Bsat.solutions)
       (fun () ->
-        Bsat.diagnose ~candidates ~force_zero:true ?max_solutions ?budget
-          ?certify ?jobs ~k c tests)
+        Bsat.diagnose ~candidates ?max_solutions ?budget ?certify ?jobs ~k c
+          tests)
   in
   let pass1 = pass "advsat/pass1" skeleton in
   (* refine: multiplexers at every implicated dominator and everything it
@@ -83,8 +83,8 @@ let diagnose_partitioned ?(slice = 8) ?max_solutions ?budget ?obs
           Telemetry.phase obs "advsat/slice"
             ~payload:(fun r -> List.length r.Bsat.solutions)
             (fun () ->
-              Bsat.diagnose ?candidates ~force_zero:true ?max_solutions
-                ?budget ?certify ?jobs ~k c slice_tests)
+              Bsat.diagnose ?candidates ?max_solutions ?budget ?certify ?jobs
+                ~k c slice_tests)
         in
         passes := r :: !passes;
         r

@@ -3,8 +3,9 @@
     Three techniques on top of BSAT, none of which changes the reported
     solutions being valid corrections:
 
-    - [force_zero] clauses (s=0 ⇒ c=0), available directly through
-      {!Bsat.diagnose};
+    - the s=0 ⇒ c=0 rule, which holds by construction: an unselected
+      gate's multiplexer has no free correction input
+      ({!Encode.Muxed});
     - two-pass dominator diagnosis: multiplexers first only at the
       dominator skeleton (gates that dominate others, plus outputs), then
       refinement with multiplexers inside the implicated dominated

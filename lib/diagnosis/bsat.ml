@@ -54,7 +54,7 @@ type strategy = Incremental_k | Minimize_single_pass
    in an unfinished cube *)
 type worker = { run : result; fence : int; reg : Obs.t option }
 
-let diagnose ?candidates ?force_zero ?(hints = no_hints)
+let diagnose ?candidates ?(hints = no_hints)
     ?(strategy = Incremental_k) ?(max_solutions = max_int)
     ?(budget = Sat.Budget.unlimited ()) ?obs ?(obs_prefix = "bsat")
     ?(certify = false) ?(jobs = 1) ~k c tests =
@@ -84,8 +84,7 @@ let diagnose ?candidates ?force_zero ?(hints = no_hints)
     let wt0 = Obs.Clock.wall () in
     let inst =
       Telemetry.phase reg (obs_prefix ^ "/cnf") (fun () ->
-          Encode.Muxed.build ?candidates ?force_zero ~certify ~max_k:k solver c
-            tests)
+          Encode.Muxed.build ?candidates ~certify ~max_k:k solver c tests)
     in
     let cands = Encode.Muxed.candidate_gates inst in
     Option.iter
@@ -179,6 +178,6 @@ let diagnose ?candidates ?force_zero ?(hints = no_hints)
     obs;
   r
 
-let first_solution ?candidates ?force_zero ?hints ~k c tests =
-  let r = diagnose ?candidates ?force_zero ?hints ~max_solutions:1 ~k c tests in
+let first_solution ?candidates ?hints ~k c tests =
+  let r = diagnose ?candidates ?hints ~max_solutions:1 ~k c tests in
   match r.solutions with [] -> None | sol :: _ -> Some sol

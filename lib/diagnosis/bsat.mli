@@ -43,7 +43,6 @@ type strategy =
 
 val diagnose :
   ?candidates:int list ->
-  ?force_zero:bool ->
   ?hints:hints ->
   ?strategy:strategy ->
   ?max_solutions:int ->
@@ -57,8 +56,9 @@ val diagnose :
   Sim.Testgen.test list ->
   result
 (** [candidates] restricts the multiplexer sites (advanced approaches);
-    [force_zero] adds the s=0 ⇒ c=0 pruning clauses; [hints] biases the
-    solver's decision heuristic (the §6 hybrid).
+    [hints] biases the solver's decision heuristic (the §6 hybrid).  The
+    advanced approach's s=0 ⇒ c=0 rule needs no option: an unselected
+    gate has no free correction input ({!Encode.Muxed}).
 
     Without [certify], Lemma 1 is read off the simulation first:
     {!Validity.singles} runs once, and every candidate that is no
@@ -119,7 +119,6 @@ val diagnose :
 
 val first_solution :
   ?candidates:int list ->
-  ?force_zero:bool ->
   ?hints:hints ->
   k:int ->
   Netlist.Circuit.t ->

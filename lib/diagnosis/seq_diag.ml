@@ -48,8 +48,8 @@ let diagnose_bsat ?(max_solutions = max_int)
   let comb_tests = List.map (to_comb_test s u) tests in
   let solver = Sat.Solver.create () in
   let inst =
-    Encode.Muxed.build ~groups:(core_groups s u) ~force_zero:true ~max_k:k
-      solver u.Sequential.circuit comb_tests
+    Encode.Muxed.build ~groups:(core_groups s u) ~max_k:k solver
+      u.Sequential.circuit comb_tests
   in
   let cnf_time = Obs.Clock.wall () -. t0 in
   let start = Obs.Clock.wall () in

@@ -16,23 +16,22 @@ type cert = {
 type t = {
   solver : Sat.Solver.t;
   emit : Emit.t;
-  force_zero : bool;
   circ : Circuit.t;
   mutable tests : Sim.Testgen.test array;
   groups : int array array;          (* group index -> member gate ids *)
   group_of : (int, int) Hashtbl.t;   (* gate id -> group index *)
   selects : int array;               (* group index -> select var *)
   counter : Cardinality.t;
-  mutable copies : int array array;      (* test index -> gate id -> y var *)
-  mutable corrections : int array array; (* test index -> gate id -> c var *)
+  mutable copies : int array array;  (* test index -> gate id -> y var *)
   cert : cert option;
 }
 
-(* one circuit copy constrained by one test *)
-let encode_copy e circ group_of selects force_zero (test : Sim.Testgen.test) =
+(* one circuit copy constrained by one test; a candidate's gate clauses
+   carry its select literal, so [y = kind(fanins)] unless the gate is
+   selected, and a selected gate's [y] is the free correction value *)
+let encode_copy e circ group_of selects (test : Sim.Testgen.test) =
   let n = Circuit.size circ in
   let y = Array.make n (-1) in
-  let corr = Array.make n (-1) in
   Array.iteri
     (fun i g ->
       let v = e.Emit.fresh () in
@@ -43,37 +42,25 @@ let encode_copy e circ group_of selects force_zero (test : Sim.Testgen.test) =
     (fun g ->
       match circ.Circuit.kinds.(g) with
       | Gate.Input -> ()
-      | kind -> (
-          let fanin_lits =
-            Array.map (fun h -> Lit.pos y.(h)) circ.Circuit.fanins.(g)
+      | kind ->
+          let v = e.Emit.fresh () in
+          y.(g) <- v;
+          let e =
+            match Hashtbl.find_opt group_of g with
+            | None -> e
+            | Some gi ->
+                let s = Lit.pos selects.(gi) in
+                { e with Emit.clause = (fun cl -> e.Emit.clause (s :: cl)) }
           in
-          match Hashtbl.find_opt group_of g with
-          | None ->
-              let v = e.Emit.fresh () in
-              y.(g) <- v;
-              Tseitin.gate_clauses e ~out:(Lit.pos v) kind fanin_lits
-          | Some gi ->
-              let f = e.Emit.fresh () in
-              Tseitin.gate_clauses e ~out:(Lit.pos f) kind fanin_lits;
-              let c = e.Emit.fresh () in
-              corr.(g) <- c;
-              let out = e.Emit.fresh () in
-              y.(g) <- out;
-              let s = Lit.pos selects.(gi) in
-              let cl = Lit.pos c and fl = Lit.pos f and ol = Lit.pos out in
-              (* out = s ? c : f *)
-              e.Emit.clause [ Lit.negate s; Lit.negate cl; ol ];
-              e.Emit.clause [ Lit.negate s; cl; Lit.negate ol ];
-              e.Emit.clause [ s; Lit.negate fl; ol ];
-              e.Emit.clause [ s; fl; Lit.negate ol ];
-              if force_zero then e.Emit.clause [ s; Lit.negate cl ]))
+          Tseitin.gate_clauses e ~out:(Lit.pos v) kind
+            (Array.map (fun h -> Lit.pos y.(h)) circ.Circuit.fanins.(g)))
     circ.Circuit.topo;
   let og = circ.Circuit.outputs.(test.Sim.Testgen.po_index) in
   e.Emit.clause [ Lit.make y.(og) test.Sim.Testgen.expected ];
-  (y, corr)
+  y
 
-let build ?mirror ?candidates ?(groups = []) ?(force_zero = false)
-    ?(certify = false) ~max_k solver circ tests =
+let build ?mirror ?candidates ?(groups = []) ?(certify = false) ~max_k
+    solver circ tests =
   let cert =
     if not certify then None
     else begin
@@ -134,9 +121,7 @@ let build ?mirror ?candidates ?(groups = []) ?(force_zero = false)
         members)
     groups;
   let selects = Array.map (fun _ -> e.Emit.fresh ()) groups in
-  let pairs =
-    Array.map (encode_copy e circ group_of selects force_zero) tests
-  in
+  let copies = Array.map (encode_copy e circ group_of selects) tests in
   let counter =
     Cardinality.encode_at_most e
       ~lits:(Array.to_list (Array.map Lit.pos selects))
@@ -145,15 +130,13 @@ let build ?mirror ?candidates ?(groups = []) ?(force_zero = false)
   {
     solver;
     emit = e;
-    force_zero;
     circ;
     tests;
     groups;
     group_of;
     selects;
     counter;
-    copies = Array.map fst pairs;
-    corrections = Array.map snd pairs;
+    copies;
     cert;
   }
 
@@ -213,12 +196,9 @@ let cert_failures t =
   match t.cert with None -> [] | Some c -> List.rev c.failures
 
 let add_test t test =
-  let y, corr =
-    encode_copy t.emit t.circ t.group_of t.selects t.force_zero test
-  in
+  let y = encode_copy t.emit t.circ t.group_of t.selects test in
   t.tests <- Array.append t.tests [| test |];
-  t.copies <- Array.append t.copies [| y |];
-  t.corrections <- Array.append t.corrections [| corr |]
+  t.copies <- Array.append t.copies [| y |]
 
 let circuit t = t.circ
 
@@ -275,9 +255,8 @@ let solution_groups t =
   |> List.map (fun i -> Array.to_list t.groups.(i))
 
 let correction_var t ~test ~gate =
-  let v = t.corrections.(test).(gate) in
-  if v < 0 then raise Not_found;
-  v
+  if not (Hashtbl.mem t.group_of gate) then raise Not_found;
+  t.copies.(test).(gate)
 
 let correction_value t ~test ~gate =
   Sat.Solver.value t.solver (correction_var t ~test ~gate)
@@ -314,12 +293,11 @@ let fresh_activation t = Lit.pos (t.emit.Emit.fresh ())
 
 let gate_value t ~test ~gate = Sat.Solver.value t.solver t.copies.(test).(gate)
 
-let export_dimacs ?candidates ?groups ?force_zero ~k circ tests =
+let export_dimacs ?candidates ?groups ~k circ tests =
   let cnf = Sat.Cnf.create () in
   let solver = Sat.Solver.create () in
   let t =
-    build ~mirror:cnf ?candidates ?groups ?force_zero ~max_k:k solver circ
-      tests
+    build ~mirror:cnf ?candidates ?groups ~max_k:k solver circ tests
   in
   (* freeze the bound: the assumption literals become unit clauses *)
   List.iter

@@ -1,11 +1,17 @@
 (** The SAT-based diagnosis instance of the paper's Figure 2.
 
     One copy of the circuit per test (t, o, v); a correction multiplexer
-    in front of every candidate gate.  The select line [s_g] is shared by
-    all copies (the gate is changed for all tests or none); the injected
-    correction value [c_g^i] is free per test, so a selected gate may be
-    re-assigned any Boolean function.  Each copy pins its primary inputs
-    to the test vector and its erroneous output to the correct value.
+    at every candidate gate.  The select line [s_g] is shared by all
+    copies (the gate is changed for all tests or none).  The multiplexer
+    is encoded as select-guarded gate clauses: every Tseitin clause of a
+    candidate's copy variable [y_g^i] carries [s_g], so an unselected
+    gate computes [y_g^i = kind(fanins)] and a selected gate's [y_g^i]
+    is free per test — it is the injected correction value, and a
+    selected gate may be re-assigned any Boolean function.  There is no
+    separate correction input, so the advanced approach's rule
+    [¬s_g ⇒ c_g^i = 0] holds by construction.  Each copy pins its
+    primary inputs to the test vector and its erroneous output to the
+    correct value.
 
     A sequential counter over the select lines provides the
     "at most k changed gates" bound, selectable per solve call via
@@ -22,7 +28,6 @@ val build :
   ?mirror:Sat.Cnf.t ->
   ?candidates:int list ->
   ?groups:int list list ->
-  ?force_zero:bool ->
   ?certify:bool ->
   max_k:int ->
   Sat.Solver.t ->
@@ -35,10 +40,6 @@ val build :
     [candidates] become singleton groups; [groups] are explicit groups
     sharing a select line.  When neither is given, every logic gate is a
     singleton candidate.  A gate may appear in at most one group.
-
-    [force_zero] adds the advanced-approach clauses [¬s_g ⇒ c_g^i = 0],
-    removing up to |I| pointless decisions without changing the solution
-    space projected on the select lines.
 
     [mirror] additionally copies every clause into the given CNF (see
     {!export_dimacs}).
@@ -57,7 +58,6 @@ val build :
 val export_dimacs :
   ?candidates:int list ->
   ?groups:int list list ->
-  ?force_zero:bool ->
   k:int ->
   Netlist.Circuit.t ->
   Sim.Testgen.test list ->
@@ -108,12 +108,15 @@ val solution_groups : t -> int list list
 (** After [Sat]: the selected groups in full. *)
 
 val correction_value : t -> test:int -> gate:int -> bool
-(** After [Sat]: the value injected at a candidate gate for a test — the
-    witness from which a replacement function can be read off. *)
+(** After [Sat]: the value injected at a selected candidate gate for a
+    test — the witness from which a replacement function can be read
+    off.  For an unselected candidate this is its fault-free value.
+    @raise Not_found for non-candidates. *)
 
 val correction_var : t -> test:int -> gate:int -> int
 (** The solver variable carrying that correction value (for phase hints
-    and assumptions).  @raise Not_found for non-candidates. *)
+    and assumptions): the candidate's copy variable, the one
+    {!gate_value} reads.  @raise Not_found for non-candidates. *)
 
 val block : ?unless:Sat.Lit.t -> t -> int list -> unit
 (** Add the blocking clause [∨ ¬s] over the groups of the given gates,

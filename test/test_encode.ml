@@ -271,16 +271,6 @@ let test_muxed_correction_witness () =
             t.Sim.Testgen.expected fixed)
         tests
 
-let test_muxed_force_zero_same_solutions () =
-  let faulty, _, tests = faulty_adder () in
-  let run force_zero =
-    (Diagnosis.Bsat.diagnose ~force_zero ~k:2 faulty tests).Diagnosis.Bsat
-      .solutions
-    |> List.sort compare
-  in
-  Alcotest.(check (list (list int))) "same solution space" (run false)
-    (run true)
-
 let test_muxed_rejects_input_candidates () =
   let faulty, _, tests = faulty_adder () in
   let solver = Sat.Solver.create () in
@@ -565,8 +555,6 @@ let () =
             test_muxed_error_site_satisfies;
           Alcotest.test_case "correction witness" `Quick
             test_muxed_correction_witness;
-          Alcotest.test_case "force_zero same solutions" `Quick
-            test_muxed_force_zero_same_solutions;
           Alcotest.test_case "inputs rejected" `Quick
             test_muxed_rejects_input_candidates;
           Alcotest.test_case "dimacs export" `Quick test_muxed_export_dimacs;

@@ -285,6 +285,96 @@ let prop_lemma1_clauses_transparent =
           && certified.cert_failures = [])
         [ 1; 2; 3 ])
 
+(* The correction multiplexer is encoded as select-guarded gate clauses:
+   an unselected gate's copy variable must equal its gate function, a
+   selected gate's copy variable is the free correction value.  Every
+   model the instance yields is read back against the simulator — the
+   unselected gates are consistent, and the selected gates forced to
+   their correction values rectify every test — and the guard must not
+   cost a solution: every simulation-valid single and the injected site
+   set are satisfiable with their selects assumed. *)
+let prop_guarded_mux_models =
+  QCheck.Test.make ~count:30
+    ~name:"guarded muxes: models are consistent, rectify and are complete"
+    diag_gen (fun params ->
+      let golden, faulty, errors = diag_workload params in
+      let sites = Sim.Fault.sites errors in
+      let tests =
+        Sim.Testgen.generate ~seed:17 ~max_vectors:1024 ~wanted:5 ~golden
+          ~faulty
+      in
+      QCheck.assume (tests <> []);
+      let model_ok inst =
+        let sol = Encode.Muxed.solution inst in
+        let value ti g = Encode.Muxed.gate_value inst ~test:ti ~gate:g in
+        List.for_all
+          (fun (ti, (t : Sim.Testgen.test)) ->
+            Array.for_all
+              (fun g ->
+                List.mem g sol
+                || Netlist.Gate.eval faulty.C.kinds.(g)
+                     (Array.map (value ti) faulty.C.fanins.(g))
+                   = value ti g)
+              (C.gate_ids faulty)
+            &&
+            let forced =
+              List.map
+                (fun g ->
+                  (g, Encode.Muxed.correction_value inst ~test:ti ~gate:g))
+                sol
+            in
+            Sim.Event_sim.output_after faulty
+              (Sim.Simulator.eval faulty t.vector)
+              forced t.po_index
+            = t.expected)
+          (List.mapi (fun ti t -> (ti, t)) tests)
+      in
+      let sat_with inst gates k =
+        let extra = List.map (Encode.Muxed.select_lit inst) gates in
+        Encode.Muxed.solve_at_most ~extra inst k = Sat.Solver.Sat
+        && model_ok inst
+      in
+      let raises_not_found f =
+        match f () with exception Not_found -> true | _ -> false
+      in
+      (* a restricted instance: the non-candidates have no correction *)
+      (let inst =
+         Encode.Muxed.build ~candidates:sites ~max_k:(List.length sites)
+           (Sat.Solver.create ()) faulty tests
+       in
+       sat_with inst sites (List.length sites)
+       && Array.for_all
+            (fun g ->
+              List.mem g sites
+              || raises_not_found (fun () ->
+                     Encode.Muxed.correction_var inst ~test:0 ~gate:g))
+            (Array.init (C.size faulty) Fun.id))
+      && List.for_all
+           (fun k ->
+             let inst =
+               Encode.Muxed.build ~max_k:k (Sat.Solver.create ()) faulty tests
+             in
+             List.for_all
+               (fun g -> sat_with inst [ g ] 1)
+               (Diagnosis.Validity.singles faulty tests)
+             && (List.length sites > k || sat_with inst sites k)
+             &&
+             (* enumerate: every model up to a cap, each one blocked *)
+             let rec enumerate n =
+               n = 0
+               ||
+               match Encode.Muxed.solve_at_most inst k with
+               | Sat.Solver.Unsat -> true
+               | Sat.Solver.Sat ->
+                   model_ok inst
+                   && begin
+                        Encode.Muxed.block inst (Encode.Muxed.solution inst);
+                        enumerate (n - 1)
+                      end
+             in
+             enumerate 20)
+           [ 1; 2; 3 ])
+
 (* The hitting-set engine against three independent referees: BSAT's
    direct enumeration, a brute-force subset oracle on the smaller
    instances, and its own budget-truncated runs — at jobs 1/2/4 and
@@ -368,4 +458,6 @@ let () =
       ( "lemma 1",
         List.map QCheck_alcotest.to_alcotest
           [ prop_lemma1_clauses_transparent ] );
+      ( "guarded muxes",
+        List.map QCheck_alcotest.to_alcotest [ prop_guarded_mux_models ] );
     ]
