@@ -20,6 +20,10 @@
      arena offsets, -1 meaning "decision/assumption/unit";
    - the trail holds literals in assignment order; trail_lim.(d) is the
      trail height when decision level d+1 was opened;
+   - between calls the trail is either at the root or, after a [Sat]
+     answer, the answer's full trail (possibly cut back and extended by
+     [add_clause]); its first levels then belong to the assumptions in
+     [kept];
    - clauses of eliminated variables are out of the active set; the
      variable is restored on demand when it reappears in an added clause
      or an assumption (see [restore_var]). *)
@@ -169,6 +173,11 @@ type t = {
   mutable last_conflict_props : int;
   mutable proof : Proof.t option;
   mutable conflict_core : int list option; (* lit codes; after Unsat *)
+  mutable kept : int array;             (* assumptions of the kept trail *)
+  mutable deadline : float;
+      (* the running call's wall deadline: infinity outside a call, and
+         neg_infinity once it has passed *)
+  mutable ticks : int;                  (* deadline polls *)
 }
 
 let create () =
@@ -225,6 +234,9 @@ let create () =
     last_conflict_props = 0;
     proof = None;
     conflict_core = None;
+    kept = [||];
+    deadline = infinity;
+    ticks = 0;
   }
 
 let set_proof s p = s.proof <- p
@@ -386,6 +398,19 @@ let new_var s =
   v
 
 let ensure_vars s n = while s.nvars < n do ignore (new_var s) done
+
+(* Has the running call's deadline passed?  The wall clock is read once
+   every 1,024 polls; once it has passed the answer stays yes until the
+   call ends.  Search and inprocessing poll the same counter. *)
+let past_deadline s =
+  s.deadline = neg_infinity
+  || s.deadline < infinity
+     && (s.ticks <- s.ticks + 1;
+         s.ticks land 1023 = 0 && Obs.Clock.wall () >= s.deadline)
+     && begin
+          s.deadline <- neg_infinity;
+          true
+        end
 
 (* ---------- assignment primitives ---------- *)
 
@@ -911,16 +936,36 @@ let rec restore_var s v =
 
 exception Trivial_clause
 
+(* Add a clause between calls without giving up the kept trail.  The
+   clause is normalised against the root only: a literal false at a
+   level above 0 stays in it.  Its literals are ordered non-false first,
+   then false by decreasing level, and the trail is cut back only as far
+   as the clause needs:
+   - two non-false literals: watch them, keep the trail;
+   - one: it is implied at the highest false literal's level, so cut
+     back to that level and enqueue it (unless it is already true at or
+     below that level);
+   - none: cut back to the second-highest level and enqueue the top
+     literal, or, when the two highest levels are equal, one level
+     below them, where both are unassigned.
+   At the root every literal is non-false, so the clause is just
+   attached.  Units, the empty clause and clauses over eliminated
+   variables take the root. *)
 let add_clause_codes s codes =
   if s.ok then begin
     s.model_valid <- false;
     List.iter (fun l -> ensure_vars s ((l lsr 1) + 1)) codes;
-    cancel_until s 0;
-    List.iter
-      (fun l ->
-        let v = l lsr 1 in
-        if s.eliminated.(v) then restore_var s v)
-      codes;
+    if List.exists (fun l -> s.eliminated.(l lsr 1)) codes then begin
+      cancel_until s 0;
+      List.iter
+        (fun l ->
+          let v = l lsr 1 in
+          if s.eliminated.(v) then restore_var s v)
+        codes
+    end;
+    let root_value l =
+      if s.level.(l lsr 1) = 0 then lit_value s l else -1
+    in
     (* normalize: sort, dedupe, drop root-false lits, detect tautology and
        root-true lits *)
     match
@@ -933,7 +978,7 @@ let add_clause_codes s codes =
             (match rest with
             | l' :: _ when l' = l lxor 1 -> raise Trivial_clause
             | _ -> ());
-            (match lit_value s l with
+            (match root_value l with
             | 1 -> raise Trivial_clause
             | 0 -> clean acc rest
             | _ -> clean (l :: acc) rest)
@@ -943,23 +988,41 @@ let add_clause_codes s codes =
     with
     | exception Trivial_clause -> ()
     | [], _ ->
+        cancel_until s 0;
         s.ok <- false;
         proof_add s [||]
     | [ l ], _ ->
+        cancel_until s 0;
         enqueue s l (-1);
         if propagate s >= 0 then begin
           s.ok <- false;
           proof_add s [||]
         end
     | lits, shortened ->
-        let codes = Array.of_list lits in
         (* the proof holds the clause as given: one stored without its
            root-false literals enters it too (RUP by the root units), so
            an inprocessing deletion names a clause the checker holds *)
-        if shortened then proof_add s codes;
+        if shortened then proof_add s (Array.of_list lits);
+        let rank l = if lit_value s l = 0 then s.level.(l lsr 1) else max_int in
+        let codes =
+          Array.of_list
+            (List.stable_sort (fun a b -> Int.compare (rank b) (rank a)) lits)
+        in
         let cr = alloc_clause s codes ~learnt:false in
         ivec_push s.clauses cr;
-        attach s cr
+        attach s cr;
+        (* l1 false: the clause is unit at l1's level, or open one level
+           below it when l0 is false at that same level *)
+        let l0 = codes.(0) and l1 = codes.(1) in
+        let lvl1 = s.level.(l1 lsr 1) in
+        let lvl0 = s.level.(l0 lsr 1) in
+        if lit_value s l1 = 0 then
+          match lit_value s l0 with
+          | 0 when lvl0 = lvl1 -> cancel_until s (lvl1 - 1)
+          | 1 when lvl0 <= lvl1 -> ()
+          | _ ->
+              cancel_until s lvl1;
+              enqueue s l0 cr
   end
 
 let add_clause s lits = add_clause_codes s (List.map Lit.code lits)
@@ -974,7 +1037,9 @@ let add_cnf s f =
    derived clause enters the proof before the clause it replaces is
    deleted, and no clause locked as a root reason is ever deleted from
    the proof, so the strict checker's root trail never loses a literal
-   it cannot re-derive. *)
+   it cannot re-derive.  Subsumption, vivification and BVE poll the
+   running call's deadline between steps and abandon the rest of the
+   round once it has passed. *)
 
 (* drop clauses satisfied at the root.  Learnt clauses leave the proof;
    problem clauses stay in it (they are permanently satisfied, so the
@@ -1059,7 +1124,7 @@ let subsumption_pass s occs =
          clause whose flipped literal is C's rarest is never found *)
       let scan_candidates cand =
       let i = ref 0 in
-      while !i < cand.n do
+      while !i < cand.n && not (past_deadline s) do
         let dr = cand.a.(!i) in
         incr i;
         if
@@ -1116,9 +1181,16 @@ let subsumption_pass s occs =
       done
     end
   in
-  let snapshot vec = Array.sub vec.a 0 vec.n in
-  Array.iter subsume_with (snapshot s.clauses);
-  Array.iter subsume_with (snapshot s.learnts)
+  let subsume_all vec =
+    let crs = Array.sub vec.a 0 vec.n in
+    let i = ref 0 in
+    while !i < Array.length crs && not (past_deadline s) do
+      subsume_with crs.(!i);
+      incr i
+    done
+  in
+  subsume_all s.clauses;
+  subsume_all s.learnts
 
 (* vivification: re-derive a learnt clause literal by literal under
    trial assignments; a conflict or an implied literal part-way through
@@ -1165,6 +1237,7 @@ let vivify_pass s occs =
     !i < Array.length snapshot
     && s.ok
     && s.s_propagations - props0 < 30_000
+    && not (past_deadline s)
   do
     let cr = snapshot.(!i) in
     incr i;
@@ -1217,7 +1290,7 @@ let bve_pass s occs =
     !out
   in
   let v = ref 0 in
-  while !v < s.nvars && s.ok do
+  while !v < s.nvars && s.ok && not (past_deadline s) do
     let x = !v in
     if
       (not s.eliminated.(x))
@@ -1418,10 +1491,21 @@ let solve_limited ?(assumptions = []) ~budget s =
     s.conflict_core <- Some [];
     Solved Unsat
   end
-  else if Budget.exhausted budget then Unknown
-  else begin
+  else if Budget.exhausted budget then begin
     cancel_until s 0;
+    Unknown
+  end
+  else begin
     let assumptions = Array.of_list (List.map Lit.code assumptions) in
+    (* resume the kept trail only under the same assumptions (its first
+       levels are theirs) and when no inprocessing round is due (a round
+       needs the root); otherwise start from the root *)
+    if
+      not
+        (assumptions = s.kept
+        && s.s_conflicts < s.simp_next
+        && Array.for_all (fun l -> not s.eliminated.(l lsr 1)) assumptions)
+    then cancel_until s 0;
     Array.iter (fun l -> ensure_vars s ((l lsr 1) + 1)) assumptions;
     Array.iter
       (fun l ->
@@ -1430,8 +1514,11 @@ let solve_limited ?(assumptions = []) ~budget s =
       assumptions;
     Array.iter (fun l -> s.frozen.(l lsr 1) <- true) assumptions;
     let conflicts0 = s.s_conflicts and propagations0 = s.s_propagations in
+    s.deadline <- Budget.deadline budget;
+    s.ticks <- 0;
     if s.s_conflicts >= s.simp_next then simplify_now s;
     let release () =
+      s.deadline <- infinity;
       Array.iter (fun l -> s.frozen.(l lsr 1) <- false) assumptions;
       Budget.charge budget
         ~conflicts:(s.s_conflicts - conflicts0)
@@ -1463,14 +1550,10 @@ let solve_limited ?(assumptions = []) ~budget s =
       let prop_limit =
         horizon propagations0 (Budget.propagations_left budget)
       in
-      let deadline = Budget.deadline budget in
-      let ticks = ref 0 in
       let out_of_budget () =
         s.s_conflicts >= conf_limit
         || s.s_propagations >= prop_limit
-        || deadline < infinity
-           && (incr ticks;
-               !ticks land 1023 = 0 && Obs.Clock.wall () >= deadline)
+        || past_deadline s
       in
       let restart_first = 100.0 in
       let curr_restarts = ref 0 in
@@ -1553,13 +1636,15 @@ let solve_limited ?(assumptions = []) ~budget s =
         end
       done;
       let r = match !result with Some r -> r | None -> assert false in
-      (* keep the final model readable, then reset the trail *)
+      (* keep the final model readable; a [Sat] answer keeps its trail
+         for the next call to resume, any other answer resets it *)
       if r = Solved Sat then begin
         s.model_valid <- true;
         s.final_model <- Array.init s.nvars (fun v -> s.assigns.(v) = 1);
-        s.model_pending <- s.elim_stack
-      end;
-      cancel_until s 0;
+        s.model_pending <- s.elim_stack;
+        s.kept <- assumptions
+      end
+      else cancel_until s 0;
       release ();
       r
     end

@@ -24,16 +24,29 @@ val ensure_vars : t -> int -> unit
 val num_vars : t -> int
 
 val add_clause : t -> Lit.t list -> unit
-(** Add a clause.  May be called before or between [solve] calls; the
-    solver backtracks to the root level first.  Adding the empty clause
-    (or a clause falsified at root level) makes the instance permanently
-    unsatisfiable. *)
+(** Add a clause.  May be called before or between [solve] calls.  After
+    a [Sat] answer the solver keeps that answer's trail (see {!solve}),
+    and the clause cuts it back only as far as it must: not at all when
+    two of its literals are not false; to the level where it becomes
+    unit, propagating its last literal there; and, when every literal
+    is false, to the level below the highest one that leaves it unit or
+    open.  A unit clause, or one over a variable removed by
+    inprocessing, takes the solver back to the root.  Adding the empty
+    clause (or a clause falsified at root level) makes the instance
+    permanently unsatisfiable. *)
 
 val add_cnf : t -> Cnf.t -> unit
 
 val solve : ?assumptions:Lit.t list -> t -> result
 (** Solve the current clause set under the given assumptions.  The solver
-    remains usable afterwards; learned clauses are kept. *)
+    remains usable afterwards; learned clauses are kept.
+
+    A [Sat] answer also keeps its assignment trail.  The next call
+    resumes the search from it, as cut back by any clauses added in
+    between, when it passes the same assumptions (in the same order)
+    and no inprocessing round is due; otherwise it starts from the root,
+    as an [Unsat] or [Unknown] answer always leaves it.  Resuming changes
+    which model a call finds first, never its verdict. *)
 
 type limited_result = Solved of result | Unknown
 
@@ -44,8 +57,8 @@ val solve_limited :
     propagation allowance is consumed (deterministically — the same
     instance under the same budget stops at the same point, and a
     subsequent [Sat] model is bit-identical across runs) or its deadline
-    passes (checked every 1024 loop iterations, so the overshoot is
-    bounded).  Consumed conflicts/propagations are charged to [budget],
+    passes (checked every 1024 loop iterations, and between the steps of
+    an inprocessing round, so the overshoot is bounded).  Consumed conflicts/propagations are charged to [budget],
     which is shared state: an enumeration loop passing the same budget
     to every call gets a total-effort cap.  After [Unknown] the solver
     is fully usable — no model is available, but clauses and learnt

@@ -308,6 +308,41 @@ let test_budget_renewed () =
   Alcotest.(check bool) "unlimited stays unlimited" true
     (Sat.Budget.is_unlimited u)
 
+let test_budget_deadline_bounds_inprocessing () =
+  (* every 4-subset of 30 variables as a positive clause: no clause
+     subsumes another, but each literal occurs in 3,654 clauses, so one
+     backward-subsumption pass makes ~10^8 candidate visits (seconds).
+     The first solve runs that round before any search; under a short
+     deadline it must give up within the deadline plus one polling
+     slice (the margin below absorbs scheduling noise) *)
+  let n = 30 in
+  let s = Sat.Solver.create () in
+  Sat.Solver.ensure_vars s n;
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      for c = b + 1 to n - 1 do
+        for d = c + 1 to n - 1 do
+          Sat.Solver.add_clause s (List.map Sat.Lit.pos [ a; b; c; d ])
+        done
+      done
+    done
+  done;
+  let seconds = 0.05 in
+  let t0 = Obs.Clock.wall () in
+  let r =
+    Sat.Solver.solve_limited ~budget:(Sat.Budget.create ~seconds ()) s
+  in
+  let elapsed = Obs.Clock.wall () -. t0 in
+  Alcotest.(check bool) "the deadline cuts the round" true
+    (r = Sat.Solver.Unknown);
+  Alcotest.(check bool)
+    (Printf.sprintf "returned after %.3f s" elapsed)
+    true
+    (elapsed < seconds +. 0.25);
+  (* the solver stays usable: an unlimited call answers *)
+  Alcotest.(check bool) "sat afterwards" true
+    (Sat.Solver.solve s = Sat.Solver.Sat)
+
 let test_stats_learned_accounting () =
   let s = php_solver 7 6 in
   ignore (Sat.Solver.solve s);
@@ -1018,6 +1053,202 @@ let prop_deletion_heavy_proofs =
           let e4 = Sat.Drup_check.check_unsat ~jobs:4 f rogue in
           e1 <> Ok () && e1 = e4)
 
+(* ---------- the kept trail: solve, add clauses, solve again ---------- *)
+
+(* One step of an incremental session.  [Add] literals are given
+   relative to the last model (or to all-false before the first): the
+   pair (v, true) is the literal the model makes true, (v, false) the
+   one it makes false.  So a clause of [false] pairs is false under the
+   kept model, one [true] pair among [false] ones makes it unit at the
+   levels of its false literals, and a lone pair is a unit clause. *)
+type session_step = Solve of int | Block | Add of (int * bool) list
+
+let session_gen =
+  let open QCheck.Gen in
+  let* nvars = int_range 1 8 in
+  let* nclauses = int_range 0 24 in
+  let lit =
+    let* v = int_range 0 (nvars - 1) in
+    let* sign = bool in
+    return (Sat.Lit.make v sign)
+  in
+  let* cls =
+    list_size (return nclauses)
+      (let* len = int_range 1 4 in
+       list_size (return len) lit)
+  in
+  (* assumption set 0 is empty; the others have up to three literals
+     over distinct variables *)
+  let* asets =
+    list_size (return 2)
+      (map
+         (List.sort_uniq (fun a b ->
+              Int.compare (Sat.Lit.var a) (Sat.Lit.var b)))
+         (list_size (int_range 1 3) lit))
+  in
+  let step =
+    frequency
+      [
+        ( 3,
+          map
+            (fun i -> Solve i)
+            (frequency [ (3, return 0); (1, int_range 1 2) ]) );
+        (2, return Block);
+        ( 3,
+          map
+            (fun ps -> Add ps)
+            (list_size (int_range 1 4)
+               (pair (int_range 0 (nvars - 1))
+                  (frequency [ (3, return false); (1, return true) ]))) );
+      ]
+  in
+  let* steps = list_size (int_range 1 12) step in
+  return (nvars, cls, [] :: asets, (Solve 0 :: steps) @ [ Solve 0 ])
+
+let session_print (nvars, cls, asets, steps) =
+  let lits ls =
+    String.concat ","
+      (List.map (fun l -> string_of_int (Sat.Lit.to_dimacs l)) ls)
+  in
+  Printf.sprintf "%s | assumptions %s | %s"
+    (cnf_print (nvars, cls))
+    (String.concat " ; " (List.map lits asets))
+    (String.concat " "
+       (List.map
+          (function
+            | Solve i -> Printf.sprintf "solve(%d)" i
+            | Block -> "block"
+            | Add ps ->
+                Printf.sprintf "add(%s)"
+                  (String.concat ","
+                     (List.map
+                        (fun (v, t) ->
+                          Printf.sprintf "%d%c" v (if t then 't' else 'f'))
+                        ps)))
+          steps))
+
+(* Replay a session on one solver and check every answer against a fresh
+   solver and the DPLL reference on the same clauses and assumptions;
+   every model must satisfy every clause and the assumptions.  The
+   session ends with a blocking-clause enumeration under the last
+   assumptions, whose count must equal the brute-force count.  With
+   [certified], every Unsat is DRUP-checked and every model checked by
+   [Drup_check.model_ok]. *)
+let replay_session ~certified (nvars, cls, asets, steps) =
+  let asets = Array.of_list asets in
+  let s = Sat.Solver.create () in
+  let proof = Sat.Proof.in_memory () in
+  if certified then Sat.Solver.set_proof s (Some proof);
+  Sat.Solver.ensure_vars s nvars;
+  let clauses = ref [] in
+  let add c =
+    clauses := c :: !clauses;
+    Sat.Solver.add_clause s c
+  in
+  List.iter add cls;
+  let last_model = ref (Array.make nvars false) in
+  let last_aset = ref [] in
+  let cnf () =
+    let f = Sat.Cnf.create () in
+    f.Sat.Cnf.num_vars <- nvars;
+    List.iter (Sat.Cnf.add_clause f) (List.rev !clauses);
+    f
+  in
+  let model_ok assumptions m =
+    Sat.Cnf.eval (cnf ()) m
+    && List.for_all
+         (fun l -> m.(Sat.Lit.var l) = Sat.Lit.sign l)
+         assumptions
+    && ((not certified)
+       ||
+       let t = Sat.Drup_check.create () in
+       Sat.Drup_check.add_cnf t (cnf ());
+       Sat.Drup_check.model_ok ~assumptions t (fun v -> m.(v)))
+  in
+  let unsat_ok () =
+    (not certified)
+    || Sat.Drup_check.check_unsat
+         ~assumptions:(Sat.Solver.unsat_core s)
+         (cnf ()) (Sat.Proof.steps proof)
+       = Ok ()
+  in
+  (* one answer of the session's solver, checked; the enumeration's
+     answers are checked by its count instead of the two references *)
+  let solve ?(references = true) assumptions =
+    let agrees r =
+      (not references)
+      ||
+      let fresh = Sat.Solver.create () in
+      Sat.Solver.ensure_vars fresh nvars;
+      List.iter (Sat.Solver.add_clause fresh) (List.rev !clauses);
+      let f = cnf () in
+      List.iter (fun l -> Sat.Cnf.add_clause f [ l ]) assumptions;
+      r = Sat.Solver.solve ~assumptions fresh
+      &&
+      match (r, Sat.Dpll.solve f) with
+      | Sat.Solver.Sat, Sat.Dpll.Sat _ | Sat.Solver.Unsat, Sat.Dpll.Unsat ->
+          true
+      | _ -> false
+    in
+    let r = Sat.Solver.solve ~assumptions s in
+    let ok =
+      agrees r
+      &&
+      match r with
+      | Sat.Solver.Sat ->
+          let m = Sat.Solver.model s in
+          last_model := m;
+          model_ok assumptions m
+      | Sat.Solver.Unsat -> unsat_ok ()
+    in
+    (r, ok)
+  in
+  let block () =
+    add (List.init nvars (fun v -> Sat.Lit.make v (not !last_model.(v))))
+  in
+  let step_ok = function
+    | Solve i ->
+        last_aset := asets.(i);
+        snd (solve asets.(i))
+    | Block ->
+        block ();
+        true
+    | Add ps ->
+        add
+          (List.map (fun (v, t) -> Sat.Lit.make v (!last_model.(v) = t)) ps);
+        true
+  in
+  List.for_all step_ok steps
+  &&
+  let expected =
+    let f = cnf () in
+    List.iter (fun l -> Sat.Cnf.add_clause f [ l ]) !last_aset;
+    Sat.Dpll.count_models f
+  in
+  let rec enumerate n =
+    if n > expected then None
+    else
+      match solve ~references:false !last_aset with
+      | _, false -> None
+      | Sat.Solver.Unsat, true -> Some n
+      | Sat.Solver.Sat, true ->
+          block ();
+          enumerate (n + 1)
+  in
+  enumerate 0 = Some expected
+
+let prop_kept_trail =
+  QCheck.Test.make ~count:300
+    ~name:"kept trail: every answer of a session = a fresh solver's"
+    (QCheck.make ~print:session_print session_gen)
+    (replay_session ~certified:false)
+
+let prop_kept_trail_certified =
+  QCheck.Test.make ~count:150
+    ~name:"kept trail: a certified session checks every answer"
+    (QCheck.make ~print:session_print session_gen)
+    (replay_session ~certified:true)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1030,6 +1261,8 @@ let qsuite =
       prop_shrink_core_irreducible;
       prop_simplify_agrees_with_dpll;
       prop_deletion_heavy_proofs;
+      prop_kept_trail;
+      prop_kept_trail_certified;
     ]
 
 let () =
@@ -1080,6 +1313,8 @@ let () =
             test_budget_charged_across_calls;
           Alcotest.test_case "renewed restarts the clock" `Quick
             test_budget_renewed;
+          Alcotest.test_case "deadline bounds inprocessing" `Quick
+            test_budget_deadline_bounds_inprocessing;
           Alcotest.test_case "learned accounting" `Quick
             test_stats_learned_accounting;
         ] );
