@@ -1,18 +1,17 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§5) plus the ablations discussed in §2.3/§6.
+   evaluation (§5) plus the ablations discussed in §2.3/§6.  perfbench
+   owns wall time; this harness gates deterministic counters.
 
      dune exec bench/main.exe            -- everything, quick scale
      dune exec bench/main.exe -- --full  -- paper-sized circuits (slow!)
      dune exec bench/main.exe -- table2  -- a single experiment
-     dune exec bench/main.exe -- micro   -- Bechamel micro-benchmarks +
-                                            BENCH_micro.json throughput
      dune exec bench/main.exe -- <exp> --baseline BENCH_baseline.json
         -- regression gate: compare the fresh BENCH_report.json blocks
            against the committed baseline (Bench_suite.Baseline);
            nonzero exit on any drift beyond tolerance
      dune exec bench/main.exe -- --jobs 4
-        -- run per-circuit experiment cells (and the micro fault-sim
-           measurement) on 4 domains; every report block is identical
+        -- run per-circuit experiment cells (and the micro fault
+           simulation) on 4 domains; every report block is identical
            to --jobs 1
 
    Experiments: table1 (guarantee check), table2 (runtimes), table3
@@ -21,10 +20,10 @@
    seed repair), sequential (time-frame expansion), incremental
    (growing test sets on one live instance), hitting (implicit
    hitting-set engine vs BSAT), adaptive (generated distinguishing
-   tests vs the fixed m-test regime), serve (cold vs warm request throughput
+   tests vs the fixed m-test regime), serve (cold vs warm requests
    of the diagnose serve layer), related (BDD space vs SAT), resolution
-   (random vs ATPG test sets), micro (Bechamel +
-   simulation-throughput JSON baseline). *)
+   (random vs ATPG test sets), micro (fault-simulation and proof
+   counters). *)
 
 type config = {
   scale : float;
@@ -713,7 +712,6 @@ let serve cfg =
   let widths_agree = ref true in
   let reference = ref None in
   let total = ref 0 in
-  let width_blocks = ref [] in
   List.iter
     (fun jobs ->
       let server = Core.Serve.Server.create ~jobs resolve in
@@ -731,59 +729,19 @@ let serve cfg =
           reference := Some (solutions_of warm);
           total := count_solutions warm
       | Some r -> widths_agree := !widths_agree && solutions_of warm = r);
-      (* the first batch ran every request cold, the second every
-         request warm, so the server's cold/warm sketches split the two
-         batches' latency and queue-wait distributions exactly *)
-      let sk = Core.Serve.Server.sketches server in
-      let sketch name = List.assoc name sk in
-      let q s p = Obs.Sketch.quantile s p in
-      let quants s =
-        Obs.Json.Obj
-          [
-            ("p50", Obs.Json.Float (q s 0.5));
-            ("p95", Obs.Json.Float (q s 0.95));
-            ("p99", Obs.Json.Float (q s 0.99));
-          ]
-      in
-      let lat_cold = sketch "latency_cold_us"
-      and lat_warm = sketch "latency_warm_us" in
       Fmt.pr "%5d | %10.2f %10.2f | %7.1fx | %b@." jobs cold_rate warm_rate
-        (warm_rate /. cold_rate) agree;
-      Fmt.pr "      | latency p50/p99 us: cold %.0f/%.0f, warm %.0f/%.0f@."
-        (q lat_cold 0.5) (q lat_cold 0.99) (q lat_warm 0.5)
-        (q lat_warm 0.99);
-      width_blocks :=
-        ( Printf.sprintf "jobs%d" jobs,
-          Obs.Json.Obj
-            [
-              ("cold_req_per_s", Obs.Json.Float cold_rate);
-              ("warm_req_per_s", Obs.Json.Float warm_rate);
-              ( "cold",
-                Obs.Json.Obj
-                  [
-                    ("latency_us", quants lat_cold);
-                    ("queue_wait_us", quants (sketch "queue_wait_cold_us"));
-                  ] );
-              ( "warm",
-                Obs.Json.Obj
-                  [
-                    ("latency_us", quants lat_warm);
-                    ("queue_wait_us", quants (sketch "queue_wait_warm_us"));
-                  ] );
-            ] )
-        :: !width_blocks)
+        (warm_rate /. cold_rate) agree)
     widths;
   add_block "serve"
     (Obs.Json.Obj
-       ([
-          ("requests", Obs.Json.Int n);
-          ("cold_misses", Obs.Json.Int n);
-          ("warm_hits", Obs.Json.Int n);
-          ("solutions", Obs.Json.Int !total);
-          ("warm_equals_cold", Obs.Json.Int (if !agree_all then 1 else 0));
-          ("widths_agree", Obs.Json.Int (if !widths_agree then 1 else 0));
-        ]
-       @ List.rev !width_blocks));
+       [
+         ("requests", Obs.Json.Int n);
+         ("cold_misses", Obs.Json.Int n);
+         ("warm_hits", Obs.Json.Int n);
+         ("solutions", Obs.Json.Int !total);
+         ("warm_equals_cold", Obs.Json.Int (if !agree_all then 1 else 0));
+         ("widths_agree", Obs.Json.Int (if !widths_agree then 1 else 0));
+       ]);
   Fmt.pr "@."
 
 (* ---------- related work: BDD space complexity (§1) ------------------- *)
@@ -871,282 +829,96 @@ let resolution _cfg =
     ];
   Fmt.pr "@."
 
-(* ---------- simulation-throughput baseline (machine-readable) ---------- *)
+(* ---------- pigeonhole refutations (micro and checksmoke) ---------- *)
 
-(* Measures the hot-path rates the simulation core is optimised for —
-   scalar sweeps, word-parallel sweeps (64 patterns each), and no-drop
-   stuck-at fault simulation — on the paper circuits, and writes them to
-   BENCH_micro.json so regressions are diffable across commits. *)
-let micro_throughput cfg =
+(* [p] pigeons in [h] holes: unsatisfiable whenever p > h *)
+let php p h =
+  let f = Sat.Cnf.create () in
+  let var pi hi = Sat.Lit.pos ((pi * h) + hi) in
+  for pi = 0 to p - 1 do
+    Sat.Cnf.add_clause f (List.init h (fun hi -> var pi hi))
+  done;
+  for hi = 0 to h - 1 do
+    for p1 = 0 to p - 1 do
+      for p2 = p1 + 1 to p - 1 do
+        Sat.Cnf.add_clause f
+          [ Sat.Lit.negate (var p1 hi); Sat.Lit.negate (var p2 hi) ]
+      done
+    done
+  done;
+  f
+
+(* the DRUP proof of a pigeonhole refutation *)
+let php_proof cnf =
+  let s = Sat.Solver.create () in
+  let p = Sat.Proof.in_memory () in
+  Sat.Solver.set_proof s (Some p);
+  Sat.Solver.add_cnf s cnf;
+  assert (Sat.Solver.solve s = Sat.Solver.Unsat);
+  p
+
+(* ---------- micro: fault-simulation and proof counters ---------- *)
+
+(* No-drop stuck-at fault simulation of 64 random vectors on the paper
+   circuits, run on [cfg.jobs] domains, and the DRUP proof of a
+   pigeonhole refutation checked in both modes.  Every leaf is a
+   deterministic count; wall time is perfbench's. *)
+let micro cfg =
   let rng = Random.State.make [| 0xB17 |] in
-  (* repetitions per second of [f], timed over at least [min_time] *)
-  let rate ?(min_time = 0.3) f =
-    ignore (f ());
-    let start = Obs.Clock.wall () in
-    let reps = ref 0 in
-    while Obs.Clock.wall () -. start < min_time do
-      ignore (f ());
-      incr reps
-    done;
-    float_of_int !reps /. (Obs.Clock.wall () -. start)
-  in
-  Fmt.pr "== Simulation throughput (BENCH_micro.json, jobs=%d) ==@." cfg.jobs;
-  Fmt.pr "  %-8s %6s | %12s %12s %14s %12s %8s@." "circuit" "gates"
-    "scalar/s" "word/s" "gate-evals/s" "faults/s" "par-x";
-  let rows =
+  Fmt.pr "== Micro counters (fault simulation at jobs=%d, proof) ==@."
+    cfg.jobs;
+  Fmt.pr "  %-8s %6s %6s %8s@." "circuit" "gates" "faults" "detected";
+  let cells =
     Bench_suite.Workload.paper_specs ~scale:cfg.scale
     |> List.map (fun spec ->
            let c = spec.Bench_suite.Workload.circuit in
-           let n = Netlist.Circuit.size c in
            let ni = Netlist.Circuit.num_inputs c in
-           let ctx = Sim.Sim_ctx.create c in
-           let bools = Array.init ni (fun _ -> Random.State.bool rng) in
-           let words =
-             Array.init ni (fun _ ->
-                 Random.State.int64 rng Int64.max_int)
-           in
-           let scalar = rate (fun () -> Sim.Simulator.eval_ctx ctx c bools) in
-           let word =
-             rate (fun () -> Sim.Simulator.eval_word_ctx ctx c words)
-           in
+           (* the recorded vectors follow one scalar and one word-wide
+              input draw per circuit; drawing them keeps the stream *)
+           ignore (Array.init ni (fun _ -> Random.State.bool rng));
+           ignore
+             (Array.init ni (fun _ -> Random.State.int64 rng Int64.max_int));
            let vectors =
              List.init 64 (fun _ ->
                  Array.init ni (fun _ -> Random.State.bool rng))
            in
            let faults = Sim.Stuck_at.all_faults c in
-           let nf = List.length faults in
-           let runs =
-             rate (fun () -> Sim.Fault_sim.run ~drop:false c ~vectors ~faults)
+           let sim =
+             Sim.Fault_sim.run ~drop:false ~jobs:cfg.jobs c ~vectors ~faults
            in
-           let runs_par =
-             if cfg.jobs > 1 then
-               rate (fun () ->
-                   Sim.Fault_sim.run ~drop:false ~jobs:cfg.jobs c ~vectors
-                     ~faults)
-             else runs
-           in
-           let sim = Sim.Fault_sim.run ~drop:false c ~vectors ~faults in
-           let detected = List.length sim.Sim.Fault_sim.detected in
-           let gate_evals = word *. float_of_int (n * 64) in
-           let faults_s = runs *. float_of_int nf in
-           let faults_s_par = runs_par *. float_of_int nf in
-           let speedup = runs_par /. runs in
-           Fmt.pr "  %-8s %6d | %12.0f %12.0f %14.3e %12.0f %8.2f@."
-             spec.Bench_suite.Workload.label n scalar word gate_evals
-             faults_s speedup;
-           (spec.Bench_suite.Workload.label, n, scalar, word, gate_evals,
-            faults_s, faults_s_par, speedup, nf, detected))
+           let gates = Netlist.Circuit.size c
+           and nf = List.length faults
+           and detected = List.length sim.Sim.Fault_sim.detected in
+           Fmt.pr "  %-8s %6d %6d %8d@." spec.Bench_suite.Workload.label gates
+             nf detected;
+           ( spec.Bench_suite.Workload.label,
+             Obs.Json.Obj
+               [
+                 ("gates", Obs.Json.Int gates);
+                 ("faults", Obs.Json.Int nf);
+                 ("detected", Obs.Json.Int detected);
+               ] ))
   in
-  (* proof-logging overhead: the same pigeonhole refutation solved bare,
-     with DRUP logging, and with logging plus a replay through the
-     independent checker.  Rates are machine-dependent and stay out of
-     the report block; the proof's step count and verdict are
-     deterministic for a fixed solver, so they go in. *)
-  let php =
-    let p, h = (6, 5) in
-    let f = Sat.Cnf.create () in
-    let var pi hi = Sat.Lit.pos ((pi * h) + hi) in
-    for pi = 0 to p - 1 do
-      Sat.Cnf.add_clause f (List.init h (fun hi -> var pi hi))
-    done;
-    for hi = 0 to h - 1 do
-      for p1 = 0 to p - 1 do
-        for p2 = p1 + 1 to p - 1 do
-          Sat.Cnf.add_clause f
-            [ Sat.Lit.negate (var p1 hi); Sat.Lit.negate (var p2 hi) ]
-        done
-      done
-    done;
-    f
+  let cnf = php 6 5 in
+  let steps = Sat.Proof.steps (php_proof cnf) in
+  let verified =
+    List.for_all
+      (fun mode -> Sat.Drup_check.check_unsat ~mode cnf steps = Ok ())
+      [ Sat.Drup_check.Forward; Sat.Drup_check.Backward ]
   in
-  let solve_php ~log ?mode () =
-    let s = Sat.Solver.create () in
-    let proof = if log then Some (Sat.Proof.in_memory ()) else None in
-    Sat.Solver.set_proof s proof;
-    Sat.Solver.add_cnf s php;
-    assert (Sat.Solver.solve s = Sat.Solver.Unsat);
-    match (proof, mode) with
-    | Some p, Some mode ->
-        assert (
-          Sat.Drup_check.check_unsat ~mode php (Sat.Proof.steps p) = Ok ())
-    | _ -> ()
-  in
-  (* the circuit cells above leave a large heap behind; compact so GC
-     pressure from dead simulation state does not pollute these rates *)
-  Gc.compact ();
-  let plain_s = rate (solve_php ~log:false) in
-  let logged_s = rate (solve_php ~log:true) in
-  (* the headline checking overhead is the backward (needed-set) mode —
-     the cheap path --certify-style verification is expected to use at
-     scale; the strict forward replay stays as an informational figure *)
-  let checked_s = rate (solve_php ~log:true ~mode:Sat.Drup_check.Backward) in
-  let checked_fwd_s =
-    rate (solve_php ~log:true ~mode:Sat.Drup_check.Forward)
-  in
-  let proof_steps =
-    let s = Sat.Solver.create () in
-    let p = Sat.Proof.in_memory () in
-    Sat.Solver.set_proof s (Some p);
-    Sat.Solver.add_cnf s php;
-    assert (Sat.Solver.solve s = Sat.Solver.Unsat);
-    Sat.Proof.num_steps p
-  in
-  let log_overhead = plain_s /. logged_s in
-  let check_overhead = plain_s /. checked_s in
-  let check_overhead_fwd = plain_s /. checked_fwd_s in
-  Fmt.pr
-    "  proof (php 6/5): %.0f solve/s plain, %.0f logged (%.2fx), %.0f \
-     logged+checked backward (%.2fx), %.0f forward (%.2fx), %d steps@."
-    plain_s logged_s log_overhead checked_s check_overhead checked_fwd_s
-    check_overhead_fwd proof_steps;
-  let oc = open_out "BENCH_micro.json" in
-  let json_row
-      (label, gates, scalar, word, gate_evals, faults_s, faults_s_par,
-       speedup, _, _) =
-    Printf.sprintf
-      "    { \"label\": %S, \"gates\": %d, \"scalar_sweeps_per_sec\": %.1f, \
-       \"word_sweeps_per_sec\": %.1f, \"gate_evals_per_sec\": %.1f, \
-       \"faults_per_sec\": %.1f, \"faults_per_sec_parallel\": %.1f, \
-       \"fault_sim_speedup\": %.3f }"
-      label gates scalar word gate_evals faults_s faults_s_par speedup
-  in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"micro\",\n  \"scale\": %g,\n  \"par_jobs\": %d,\n\
-    \  \"circuits\": [\n%s\n  ],\n\
-    \  \"proof\": { \"solves_per_sec_plain\": %.1f, \
-     \"solves_per_sec_logged\": %.1f, \"solves_per_sec_checked\": %.1f, \
-     \"solves_per_sec_checked_forward\": %.1f, \
-     \"logging_overhead\": %.3f, \"checking_overhead\": %.3f, \
-     \"checking_overhead_forward\": %.3f, \"proof_steps\": %d }\n}\n"
-    cfg.scale cfg.jobs
-    (String.concat ",\n" (List.map json_row rows))
-    plain_s logged_s checked_s checked_fwd_s log_overhead check_overhead
-    check_overhead_fwd proof_steps;
-  close_out oc;
-  (* the report block keeps only the deterministic leaves (never rates,
-     speedups or the requested width) so the regression gate stays
-     machine-independent *)
+  Fmt.pr "  proof (php 6/5): %d steps, verified %b@.@." (Array.length steps)
+    verified;
   add_block "micro"
     (Obs.Json.Obj
-       (List.map
-          (fun (label, gates, _, _, _, _, _, _, nf, detected) ->
-            ( label,
-              Obs.Json.Obj
-                [
-                  ("gates", Obs.Json.Int gates);
-                  ("faults", Obs.Json.Int nf);
-                  ("detected", Obs.Json.Int detected);
-                ] ))
-          rows
+       (cells
        @ [
            ( "proof",
              Obs.Json.Obj
                [
-                 ("steps", Obs.Json.Int proof_steps);
-                 ("verified", Obs.Json.Int 1);
+                 ("steps", Obs.Json.Int (Array.length steps));
+                 ("verified", Obs.Json.Int (Bool.to_int verified));
                ] );
-         ]));
-  Fmt.pr "  wrote BENCH_micro.json@.@."
-
-(* ---------- Bechamel micro-benchmarks: one Test.make per table ---------- *)
-
-let micro cfg =
-  let open Bechamel in
-  let open Toolkit in
-  (* shared workload for the per-table benches *)
-  let spec =
-    { Bench_suite.Workload.label = "alu4";
-      circuit = Netlist.Generators.alu 4; num_errors = 2;
-      test_counts = [ 8 ]; seed = 202 }
-  in
-  let w = Bench_suite.Workload.prepare spec in
-  let faulty = w.Bench_suite.Workload.faulty in
-  let tests = List.filteri (fun i _ -> i < 8) w.Bench_suite.Workload.tests in
-  let k = 2 in
-  let t_table2_bsim =
-    Test.make ~name:"table2/bsim"
-      (Staged.stage (fun () -> Diagnosis.Bsim.diagnose faulty tests))
-  in
-  let t_table2_cov =
-    Test.make ~name:"table2/cov-all"
-      (Staged.stage (fun () -> Diagnosis.Cover.diagnose ~k faulty tests))
-  in
-  let t_table2_bsat =
-    Test.make ~name:"table2/bsat-all"
-      (Staged.stage (fun () -> Diagnosis.Bsat.diagnose ~k faulty tests))
-  in
-  let sites = Sim.Fault.sites w.Bench_suite.Workload.errors in
-  let t_table3_metrics =
-    Test.make ~name:"table3/metrics"
-      (Staged.stage (fun () ->
-           let r = Diagnosis.Bsim.diagnose faulty tests in
-           Diagnosis.Metrics.bsim_quality faulty ~error_sites:sites r))
-  in
-  let c300 =
-    Netlist.Generators.random_dag ~seed:7 ~num_inputs:32 ~num_gates:300
-      ~num_outputs:16 ()
-  in
-  let words = Array.make 32 0x5555_5555_5555_5555L in
-  let t_sub_sim =
-    Test.make ~name:"substrate/sim-64x300g"
-      (Staged.stage (fun () -> Sim.Simulator.outputs_word c300 words))
-  in
-  let t_sub_pt =
-    Test.make ~name:"substrate/pathtrace"
-      (Staged.stage (fun () ->
-           List.map (Diagnosis.Path_trace.trace faulty) tests))
-  in
-  let php n =
-    let s = Sat.Solver.create () in
-    let var p h = Sat.Lit.pos ((p * n) + h) in
-    for p = 0 to n do
-      Sat.Solver.add_clause s (List.init n (fun h -> var p h))
-    done;
-    for h = 0 to n - 1 do
-      for p1 = 0 to n do
-        for p2 = p1 + 1 to n do
-          Sat.Solver.add_clause s
-            [ Sat.Lit.negate (var p1 h); Sat.Lit.negate (var p2 h) ]
-        done
-      done
-    done;
-    assert (Sat.Solver.solve s = Sat.Solver.Unsat)
-  in
-  let t_sub_sat =
-    Test.make ~name:"substrate/cdcl-php6" (Staged.stage (fun () -> php 6))
-  in
-  let grouped =
-    Test.make_grouped ~name:"satdiag" ~fmt:"%s %s"
-      [
-        t_table2_bsim; t_table2_cov; t_table2_bsat; t_table3_metrics;
-        t_sub_sim; t_sub_pt; t_sub_sat;
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg_b =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg_b instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Fmt.pr "== Bechamel micro-benchmarks (ns/run) ==@.";
-  let rows =
-    Hashtbl.fold (fun name o acc -> (name, o) :: acc) results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, o) ->
-      let est =
-        match Analyze.OLS.estimates o with
-        | Some (e :: _) -> e
-        | Some [] | None -> nan
-      in
-      Fmt.pr "  %-28s %14.1f ns/run@." name est)
-    rows;
-  Fmt.pr "@.";
-  micro_throughput cfg
+         ]))
 
 (* ---------- checker-performance smoke lane ---------- *)
 
@@ -1161,22 +933,6 @@ let micro cfg =
    `satsolve --check`. *)
 let checksmoke _cfg =
   let max_ratio = 2.5 in
-  let php p h =
-    let f = Sat.Cnf.create () in
-    let var pi hi = Sat.Lit.pos ((pi * h) + hi) in
-    for pi = 0 to p - 1 do
-      Sat.Cnf.add_clause f (List.init h (fun hi -> var pi hi))
-    done;
-    for hi = 0 to h - 1 do
-      for p1 = 0 to p - 1 do
-        for p2 = p1 + 1 to p - 1 do
-          Sat.Cnf.add_clause f
-            [ Sat.Lit.negate (var p1 hi); Sat.Lit.negate (var p2 hi) ]
-        done
-      done
-    done;
-    f
-  in
   let instances = [ ("php5", php 5 4); ("php6", php 6 5); ("php7", php 7 6) ] in
   Fmt.pr "== Checker smoke (fail if check/solve ratio > %.1fx) ==@." max_ratio;
   let failed = ref false in
@@ -1193,17 +949,9 @@ let checksmoke _cfg =
         done;
         (Obs.Clock.wall () -. start) /. float_of_int !reps
       in
-      let solve_logged () =
-        let s = Sat.Solver.create () in
-        let p = Sat.Proof.in_memory () in
-        Sat.Solver.set_proof s (Some p);
-        Sat.Solver.add_cnf s cnf;
-        assert (Sat.Solver.solve s = Sat.Solver.Unsat);
-        p
-      in
-      let proof = solve_logged () in
+      let proof = php_proof cnf in
       let steps = Sat.Proof.steps proof in
-      let t_solve = time solve_logged in
+      let t_solve = time (fun () -> php_proof cnf) in
       let t_check =
         time (fun () ->
             assert (

@@ -2,17 +2,6 @@ module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 module Lit = Sat.Lit
 
-(* certification state: the solver's proof sink, an independent checker
-   fed every input clause (via the emit hook) and — batch-wise, after
-   each solve — every proof step, plus pass/fail bookkeeping *)
-type cert = {
-  proof : Sat.Proof.t;
-  checker : Sat.Drup_check.t;
-  mutable drained : int;           (* proof steps already checked *)
-  mutable checks : int;
-  mutable failures : string list;  (* newest first *)
-}
-
 type t = {
   solver : Sat.Solver.t;
   emit : Emit.t;
@@ -23,7 +12,7 @@ type t = {
   selects : int array;               (* group index -> select var *)
   counter : Cardinality.t;
   mutable copies : int array array;  (* test index -> gate id -> y var *)
-  cert : cert option;
+  cert : Certifier.t option;
 }
 
 (* one circuit copy constrained by one test; a candidate's gate clauses
@@ -61,39 +50,13 @@ let encode_copy e circ group_of selects (test : Sim.Testgen.test) =
 
 let build ?mirror ?candidates ?(groups = []) ?(certify = false) ~max_k
     solver circ tests =
-  let cert =
-    if not certify then None
-    else begin
-      let proof = Sat.Proof.in_memory () in
-      Sat.Solver.set_proof solver (Some proof);
-      Some
-        {
-          proof;
-          checker = Sat.Drup_check.create ();
-          drained = 0;
-          checks = 0;
-          failures = [];
-        }
-    end
-  in
+  let cert = Certifier.attach ~certify solver in
   let e =
     match mirror with
     | None -> Emit.of_solver solver
     | Some cnf -> Emit.tee (Emit.of_solver solver) cnf
   in
-  let e =
-    match cert with
-    | None -> e
-    | Some c ->
-        (* the checker must see every input clause the solver sees *)
-        {
-          Emit.fresh = e.Emit.fresh;
-          clause =
-            (fun lits ->
-              Sat.Drup_check.add_clause c.checker lits;
-              e.Emit.clause lits);
-        }
-  in
+  let e = Certifier.tee cert e in
   let tests = Array.of_list tests in
   let groups =
     let explicit =
@@ -140,60 +103,9 @@ let build ?mirror ?candidates ?(groups = []) ?(certify = false) ~max_k
     cert;
   }
 
-(* ---------- certification ---------- *)
-
-let cert_fail c msg = c.failures <- msg :: c.failures
-
-(* feed the checker every proof step recorded since the last drain;
-   returns the fresh slice so Unsat claims can look for their clause *)
-let drain_steps c =
-  let fresh = Sat.Proof.steps_from c.proof c.drained in
-  Array.iteri
-    (fun i st ->
-      match Sat.Drup_check.check_step c.checker st with
-      | Ok () -> ()
-      | Error msg ->
-          cert_fail c (Printf.sprintf "proof step %d: %s" (c.drained + i + 1) msg))
-    fresh;
-  c.drained <- c.drained + Array.length fresh;
-  fresh
-
-let certify_result t ~assumptions result =
-  match t.cert with
-  | None -> ()
-  | Some c -> (
-      match result with
-      | Sat.Solver.Unknown ->
-          (* budget truncation: no claim to certify, but keep the checker
-             in step so the next claim's clauses are all accounted for *)
-          ignore (drain_steps c)
-      | Sat.Solver.Solved Sat.Solver.Sat ->
-          ignore (drain_steps c);
-          c.checks <- c.checks + 1;
-          if
-            not
-              (Sat.Drup_check.model_ok ~assumptions c.checker
-                 (Sat.Solver.value t.solver))
-          then cert_fail c "Sat answer: model violates the clause set"
-      | Sat.Solver.Solved Sat.Solver.Unsat ->
-          let fresh = drain_steps c in
-          c.checks <- c.checks + 1;
-          let neg = List.map Lit.negate assumptions in
-          let establishes = function
-            | Sat.Proof.Add lits -> List.for_all (fun l -> List.mem l neg) lits
-            | Sat.Proof.Delete _ -> false
-          in
-          if
-            not
-              (Sat.Drup_check.refuted c.checker
-              || Array.exists establishes fresh)
-          then cert_fail c "Unsat answer: no certifying clause in the proof")
-
 let certified t = t.cert <> None
-let cert_checks t = match t.cert with None -> 0 | Some c -> c.checks
-
-let cert_failures t =
-  match t.cert with None -> [] | Some c -> List.rev c.failures
+let cert_checks t = Certifier.checks t.cert
+let cert_failures t = Certifier.failures t.cert
 
 let add_test t test =
   let y = encode_copy t.emit t.circ t.group_of t.selects test in
@@ -219,14 +131,14 @@ let solve_at_most ?(extra = []) t k =
   let bound = Cardinality.bound_assumption t.counter (min k (num_groups t)) in
   let assumptions = bound @ extra in
   let r = Sat.Solver.solve ~assumptions t.solver in
-  certify_result t ~assumptions (Sat.Solver.Solved r);
+  Certifier.verdict t.cert t.solver ~assumptions (Sat.Solver.Solved r);
   r
 
 let solve_at_most_limited ?(extra = []) ~budget t k =
   let bound = Cardinality.bound_assumption t.counter (min k (num_groups t)) in
   let assumptions = bound @ extra in
   let r = Sat.Solver.solve_limited ~assumptions ~budget t.solver in
-  certify_result t ~assumptions r;
+  Certifier.verdict t.cert t.solver ~assumptions r;
   r
 
 let solve_exactly ?(extra = []) t k =
@@ -236,7 +148,7 @@ let solve_exactly ?(extra = []) t k =
     let bound = Cardinality.exactly_bound t.counter k in
     let assumptions = bound @ extra in
     let r = Sat.Solver.solve ~assumptions t.solver in
-    certify_result t ~assumptions (Sat.Solver.Solved r);
+    Certifier.verdict t.cert t.solver ~assumptions (Sat.Solver.Solved r);
     r
   end
 

@@ -44,13 +44,13 @@ val build :
     [mirror] additionally copies every clause into the given CNF (see
     {!export_dimacs}).
 
-    [certify] attaches a DRUP proof sink to [solver] and an independent
-    {!Sat.Drup_check} checker that receives every emitted clause.  Each
-    subsequent solve call is then verified: a [Sat] answer by evaluating
-    the model against the full clause set, an [Unsat] answer by forward
-    DRUP-checking the solver's proof and locating the clause that
-    negates the failed assumptions (the cardinality bound and any
-    activation guards).  Outcomes accumulate in {!cert_checks} /
+    [certify] attaches a {!Certifier}: a DRUP proof sink on [solver]
+    and an independent {!Sat.Drup_check} checker that receives every
+    emitted clause.  Each subsequent solve call is then verified: a
+    [Sat] answer by evaluating the model against the full clause set,
+    an [Unsat] answer by forward DRUP-checking the solver's proof and
+    locating the clause that negates the failed assumptions (the
+    cardinality bound and any activation guards).  Outcomes accumulate in {!cert_checks} /
     {!cert_failures}; verification never changes answers.  [certify]
     requires [solver] to be fresh — clauses added before [build] would
     be invisible to the checker. *)

@@ -4,22 +4,12 @@ module Lit = Sat.Lit
 
 type answer = Vector of bool array | Inseparable | Unknown
 
-(* certification state, following Muxed: the solver's proof sink, an
-   independent checker fed every input clause, pass/fail bookkeeping *)
-type cert = {
-  proof : Sat.Proof.t;
-  checker : Sat.Drup_check.t;
-  mutable drained : int;
-  mutable checks : int;
-  mutable failures : string list;  (* newest first *)
-}
-
 type t = {
   solver : Sat.Solver.t;
   emit : Emit.t;
   inputs : int array;  (* shared input vars, circuit input order *)
   mutable vectors : int;
-  cert : cert option;
+  cert : Certifier.t option;
 }
 
 (* One corrected copy over the shared input variables: gates in [sites]
@@ -56,33 +46,9 @@ let site_table circ name gates =
     gates;
   tbl
 
-let init_cert certify solver =
-  if not certify then None
-  else begin
-    let proof = Sat.Proof.in_memory () in
-    Sat.Solver.set_proof solver (Some proof);
-    Some
-      {
-        proof;
-        checker = Sat.Drup_check.create ();
-        drained = 0;
-        checks = 0;
-        failures = [];
-      }
-  end
-
-let wrapped_emit cert solver =
-  let e = Emit.of_solver solver in
-  match cert with
-  | None -> e
-  | Some c ->
-      {
-        Emit.fresh = e.Emit.fresh;
-        clause =
-          (fun lits ->
-            Sat.Drup_check.add_clause c.checker lits;
-            e.Emit.clause lits);
-      }
+let certified_emit certify solver =
+  let cert = Certifier.attach ~certify solver in
+  (cert, Certifier.tee cert (Emit.of_solver solver))
 
 let check_reference_shape name circ golden =
   Option.iter
@@ -107,8 +73,7 @@ let assert_some_output_differs e ya outs_a yb outs_b =
 
 let build ?(certify = false) ?golden solver circ ~a ~b =
   check_reference_shape "Twin.build" circ golden;
-  let cert = init_cert certify solver in
-  let e = wrapped_emit cert solver in
+  let cert, e = certified_emit certify solver in
   let shared =
     Array.map (fun _ -> e.Emit.fresh ()) circ.Circuit.inputs
   in
@@ -137,8 +102,7 @@ let build_directed ?(certify = false) ~golden solver circ ~survivor ~victim =
   let victim = List.sort_uniq compare victim in
   if List.length victim > 10 then
     invalid_arg "Twin.build_directed: victim candidate too large";
-  let cert = init_cert certify solver in
-  let e = wrapped_emit cert solver in
+  let cert, e = certified_emit certify solver in
   let shared = Array.map (fun _ -> e.Emit.fresh ()) circ.Circuit.inputs in
   let yg = encode_copy e golden shared (Hashtbl.create 1) in
   let yf = encode_copy e circ shared (Hashtbl.create 1) in
@@ -198,41 +162,6 @@ let build_directed ?(certify = false) ~golden solver circ ~survivor ~victim =
   done;
   { solver; emit = e; inputs = shared; vectors = 0; cert }
 
-(* ---------- certification (Muxed's discipline, assumption-free) ------ *)
-
-let cert_fail c msg = c.failures <- msg :: c.failures
-
-let drain_steps c =
-  let fresh = Sat.Proof.steps_from c.proof c.drained in
-  Array.iteri
-    (fun i st ->
-      match Sat.Drup_check.check_step c.checker st with
-      | Ok () -> ()
-      | Error msg ->
-          cert_fail c (Printf.sprintf "proof step %d: %s" (c.drained + i + 1) msg))
-    fresh;
-  c.drained <- c.drained + Array.length fresh
-
-let certify_result t result =
-  match t.cert with
-  | None -> ()
-  | Some c -> (
-      drain_steps c;
-      match result with
-      | Sat.Solver.Unknown -> ()
-      | Sat.Solver.Solved Sat.Solver.Sat ->
-          c.checks <- c.checks + 1;
-          if
-            not
-              (Sat.Drup_check.model_ok ~assumptions:[] c.checker
-                 (Sat.Solver.value t.solver))
-          then cert_fail c "Sat answer: model violates the clause set"
-      | Sat.Solver.Solved Sat.Solver.Unsat ->
-          (* no assumptions: the proof must reach the empty clause *)
-          c.checks <- c.checks + 1;
-          if not (Sat.Drup_check.refuted c.checker) then
-            cert_fail c "Unsat answer: proof does not reach the empty clause")
-
 (* blocking goes through the emit hook so a certification checker sees
    the clause too *)
 let block_vector t vector =
@@ -251,7 +180,7 @@ let next_vector ?budget t =
     | Some budget -> Sat.Solver.solve_limited ~budget t.solver
     | None -> Sat.Solver.Solved (Sat.Solver.solve t.solver)
   in
-  certify_result t result;
+  Certifier.verdict t.cert t.solver ~assumptions:[] result;
   match result with
   | Sat.Solver.Unknown -> Unknown
   | Sat.Solver.Solved Sat.Solver.Unsat -> Inseparable
@@ -264,7 +193,5 @@ let next_vector ?budget t =
       Vector vector
 
 let num_vectors t = t.vectors
-let cert_checks t = match t.cert with None -> 0 | Some c -> c.checks
-
-let cert_failures t =
-  match t.cert with None -> [] | Some c -> List.rev c.failures
+let cert_checks t = Certifier.checks t.cert
+let cert_failures t = Certifier.failures t.cert

@@ -52,9 +52,8 @@ val build :
     models to failing tests of [c] against the reference (see above);
     it must have the same input/output arity as [c].
 
-    [certify] attaches a DRUP proof sink and an independent
-    {!Sat.Drup_check} checker fed every emitted clause (the {!Muxed}
-    certification discipline): each [Sat] answer is verified by model
+    [certify] attaches a {!Certifier}, as {!Muxed.build} does, with no
+    assumptions: each [Sat] answer is verified by model
     evaluation, each [Unsat] answer by replaying the proof to the empty
     clause.  Requires a fresh [solver].
     @raise Invalid_argument when a candidate is a primary input or the

@@ -463,6 +463,12 @@ type mode = Forward | Backward
 let neg_codes assumptions =
   List.map (fun l -> Lit.code (Lit.negate l)) assumptions
 
+(* assumptions holding a literal and its negation fail on their own: the
+   core clause they establish is a tautology, which every clause set
+   implies, so the proof need not derive it *)
+let contradictory assumptions =
+  List.exists (fun l -> List.mem (Lit.negate l) assumptions) assumptions
+
 let establishes neg = function
   | Proof.Add (_ :: _ as lits) ->
       List.for_all (fun l -> List.mem (Lit.code l) neg) lits
@@ -491,6 +497,9 @@ let conclusion_ok t ~assumptions steps =
       | Proof.Delete _ -> false)
     steps)
 
+let concludes t ~assumptions steps =
+  contradictory assumptions || conclusion_ok t ~assumptions steps
+
 let no_conclusion_msg assumptions =
   if assumptions = [] then "proof does not derive the empty clause"
   else
@@ -503,7 +512,7 @@ let no_conclusion_msg assumptions =
    check is a hash lookup, and skipping one would desynchronize the
    replay).  Errors carry the 0-based step index so shard results merge
    deterministically; the conclusion check uses index [n]. *)
-let verify_forward ~assumptions ~residue ~jobs cnf steps =
+let verify_forward ~given ~assumptions ~residue ~jobs cnf steps =
   let t = create () in
   add_cnf t cnf;
   let n = Array.length steps in
@@ -530,7 +539,7 @@ let verify_forward ~assumptions ~residue ~jobs cnf steps =
   match !err with
   | Some (i, m) -> Error (i, m)
   | None ->
-      if conclusion_ok t ~assumptions steps then Ok ()
+      if given || conclusion_ok t ~assumptions steps then Ok ()
       else Error (n, no_conclusion_msg assumptions)
 
 (* Backward checking: an untrusted forward replay locates the conclusion
@@ -540,7 +549,7 @@ let verify_forward ~assumptions ~residue ~jobs cnf steps =
    grown through each verified step's own antecedents). *)
 type action = A_none | A_empty | A_install of int | A_delete of int
 
-let verify_backward ~assumptions cnf steps =
+let verify_backward ~given ~assumptions cnf steps =
   let t = create () in
   t.prune <- false (* dead clauses must stay revivable *);
   add_cnf t cnf;
@@ -583,6 +592,7 @@ let verify_backward ~assumptions cnf steps =
               ~from_var:(-1);
             Ok false
           end
+          else if given then Ok false
           else if
             assumptions <> []
             &&
@@ -667,13 +677,15 @@ let check_unsat ?(mode = Forward) ?(jobs = 1) ?(assumptions = []) cnf steps =
     | Error (i, m) ->
         Error (if i >= n then m else Printf.sprintf "step %d: %s" (i + 1) m)
   in
+  (* every step is still checked; only the conclusion is given *)
+  let given = contradictory assumptions in
   match mode with
-  | Backward -> finish (verify_backward ~assumptions cnf steps)
+  | Backward -> finish (verify_backward ~given ~assumptions cnf steps)
   | Forward ->
       let jobs = min (Par.clamp_jobs jobs) (max 1 n) in
       let shards =
         Par.run ~jobs (fun residue ->
-            verify_forward ~assumptions ~residue ~jobs cnf steps)
+            verify_forward ~given ~assumptions ~residue ~jobs cnf steps)
       in
       (* the earliest failing step wins, deterministically *)
       finish

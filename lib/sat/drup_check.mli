@@ -59,6 +59,14 @@ val model_ok : ?assumptions:Lit.t list -> t -> (int -> bool) -> bool
     [Sat] answer by evaluation, independently of the solver's model
     bookkeeping. *)
 
+val concludes : t -> assumptions:Lit.t list -> Proof.step array -> bool
+(** Does the live clause set certify an Unsat answer under
+    [assumptions]?  It does when it is refuted, when one of [steps] is
+    an establishing core clause (every literal negating an assumption)
+    that is live or a RUP consequence of the live set, or when
+    [assumptions] hold a literal and its negation.  The in-library
+    certifiers pass the steps checked since the answer's solve began. *)
+
 type mode =
   | Forward
       (** Verify every [Add] step in proof order.  The strictest mode
@@ -88,7 +96,9 @@ val check_unsat :
     clause (every literal negating an assumption) that is still live
     once all deletions are applied, or a RUP consequence of the final
     live set.  A refutation reached while installing [cnf] itself
-    (complementary units) also qualifies.
+    (complementary units) also qualifies, and so do [assumptions] that
+    hold a literal and its negation (their core clause is a tautology);
+    every step is still checked then.
 
     [jobs > 1] (Forward mode only) shards the RUP checks round-robin
     over that many domains; every worker replays all installs and

@@ -217,6 +217,17 @@ let prop_sketch_oracle =
         let width = float_of_int (hi - lo + 1) in
         Float.abs (Obs.Sketch.quantile s q -. float_of_int exact) <= width)
 
+let prop_sketch_monotone =
+  QCheck.Test.make ~count:500 ~name:"sketch quantile non-decreasing in q"
+    QCheck.(triple (list_of_size Gen.(int_range 0 200) (int_bound 100000))
+              (float_bound_inclusive 1.0) (float_bound_inclusive 1.0))
+    (fun (xs, a, b) ->
+      let s = sketch_of xs in
+      let q = Obs.Sketch.quantile s in
+      q (Float.min a b) <= q (Float.max a b)
+      && q 0.5 <= q 0.95
+      && q 0.95 <= q 0.99)
+
 let prop_sketch_merge_comm =
   QCheck.Test.make ~count:300 ~name:"sketch merge commutes"
     QCheck.(pair small_values small_values)
@@ -676,6 +687,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_histogram_merge_assoc;
           QCheck_alcotest.to_alcotest prop_histogram_merge_concat;
           QCheck_alcotest.to_alcotest prop_sketch_oracle;
+          QCheck_alcotest.to_alcotest prop_sketch_monotone;
           QCheck_alcotest.to_alcotest prop_sketch_merge_comm;
           QCheck_alcotest.to_alcotest prop_sketch_merge_assoc;
           QCheck_alcotest.to_alcotest prop_sketch_merge_concat;

@@ -245,6 +245,27 @@ let prop_hybrid_equivalent =
           && rn.Diagnosis.Hybrid.plain.truncated = r1.Diagnosis.Hybrid.plain.truncated)
         widths)
 
+let prop_hybrid_repair_equivalent =
+  QCheck.Test.make ~count:15
+    ~name:"hybrid cov_seed and repair: portfolio = jobs=1"
+    workload_gen
+    (fun params ->
+      let faulty, tests, p = make_workload params in
+      QCheck.assume (tests <> []);
+      let run jobs =
+        let cov = Diagnosis.Hybrid.cov_seed ~jobs ~k:p faulty tests in
+        let repair =
+          match cov.Diagnosis.Cover.solutions with
+          | [] -> None
+          | seed :: _ ->
+              let r = Diagnosis.Hybrid.repair ~jobs ~k:p ~seed faulty tests in
+              Some (r.Diagnosis.Hybrid.repaired, r.outcome.truncated)
+        in
+        (cov.Diagnosis.Cover.solutions, cov.truncated, repair)
+      in
+      let r1 = run 1 in
+      List.for_all (fun jobs -> run jobs = r1) widths)
+
 let prop_incremental_equivalent =
   QCheck.Test.make ~count:15
     ~name:"incremental: portfolio enumeration = live instance"
@@ -602,6 +623,7 @@ let () =
             prop_bsat_equivalent;
             prop_advanced_equivalent;
             prop_hybrid_equivalent;
+            prop_hybrid_repair_equivalent;
             prop_incremental_equivalent;
             prop_hitting_equivalent;
             prop_adaptive_equivalent;

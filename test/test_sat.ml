@@ -643,6 +643,37 @@ let test_checker_core_must_survive () =
   | Ok () -> Alcotest.fail "vanished core accepted (backward)"
   | Error _ -> ()
 
+let test_checker_contradictory_assumptions () =
+  (* the solver's core for assumptions [-4; 4; 7] is the pair [-4; 4],
+     whose logged core clause is the tautology 4 -4: the conclusion holds
+     without it, in either mode, while every step is still checked *)
+  let lists =
+    [ [ 7; -6 ]; [ -6; -1 ]; [ -8; 2 ]; [ -3; -2 ]; [ 6; -6 ]; [ -7; -1; 7 ] ]
+  in
+  let r, proof = solve_with_proof lists (clause_of_ints [ -4; 4; 7 ]) in
+  Alcotest.(check bool) "unsat" true (r = Sat.Solver.Unsat);
+  let steps = Sat.Proof.steps proof in
+  let check ?(steps = steps) mode assumptions =
+    Sat.Drup_check.check_unsat ~mode ~assumptions (cnf_of_lists lists) steps
+  in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun a ->
+          match check mode (clause_of_ints a) with
+          | Ok () -> ()
+          | Error m -> Alcotest.fail ("contradictory core rejected: " ^ m))
+        [ [ -4; 4 ]; [ -4; 4; 7 ] ])
+    [ Sat.Drup_check.Forward; Sat.Drup_check.Backward ];
+  let rogue = Array.append [| Sat.Proof.Add (clause_of_ints [ 9 ]) |] steps in
+  Alcotest.(check bool) "an unjustified step is still rejected" true
+    (check ~steps:rogue Sat.Drup_check.Forward (clause_of_ints [ -4; 4 ])
+    <> Ok ());
+  let t = Sat.Drup_check.create () in
+  List.iter (fun c -> Sat.Drup_check.add_clause t (clause_of_ints c)) lists;
+  Alcotest.(check bool) "concludes" true
+    (Sat.Drup_check.concludes t ~assumptions:(clause_of_ints [ 4; -4 ]) [||])
+
 (* ---------- inprocessing ---------- *)
 
 let stats_of s = Sat.Solver.stats s
@@ -1077,15 +1108,8 @@ let session_gen =
       (let* len = int_range 1 4 in
        list_size (return len) lit)
   in
-  (* assumption set 0 is empty; the others have up to three literals
-     over distinct variables *)
-  let* asets =
-    list_size (return 2)
-      (map
-         (List.sort_uniq (fun a b ->
-              Int.compare (Sat.Lit.var a) (Sat.Lit.var b)))
-         (list_size (int_range 1 3) lit))
-  in
+  (* assumption set 0 is empty; the others have up to three literals *)
+  let* asets = list_size (return 2) (list_size (int_range 1 3) lit) in
   let step =
     frequency
       [
@@ -1355,6 +1379,8 @@ let () =
             test_checker_ghost_unit_rejected;
           Alcotest.test_case "core must survive deletions" `Quick
             test_checker_core_must_survive;
+          Alcotest.test_case "contradictory assumptions" `Quick
+            test_checker_contradictory_assumptions;
         ] );
       ( "inprocessing",
         [
