@@ -322,6 +322,93 @@ let test_muxed_export_dimacs () =
   Alcotest.(check bool) "equisatisfiable" true
     (Sat.Solver.solve s2 = Encode.Muxed.solve_at_most inst 1)
 
+(* ---------- CNF identity ---------- *)
+
+(* The exact clause stream of the diagnosis instances: a change to the
+   encoders that moves a variable or reorders a clause fails here, so a
+   refactor that claims the same CNF has to produce the same bytes. *)
+let cnf_digest dimacs = Digest.to_hex (Digest.string dimacs)
+
+(* rca8, one error, seed 3, k = 1, m = 8: the CLI's export-cnf workload *)
+let test_cnf_identity_flat () =
+  let golden = Netlist.Generators.ripple_carry_adder 8 in
+  let faulty, _ = Sim.Injector.inject ~seed:3 ~num_errors:1 golden in
+  let tests =
+    Sim.Testgen.generate ~seed:4 ~max_vectors:(1 lsl 16) ~wanted:8 ~golden
+      ~faulty
+  in
+  Alcotest.(check string) "rca8 digest" "2b87b78098e9178b45421cd56f64a9b4"
+    (cnf_digest (Encode.Muxed.export_dimacs ~k:1 faulty tests))
+
+(* s27 unrolled over four frames, every frame copy of a core gate in its
+   gate's group, as sequential diagnosis builds its instance *)
+let test_cnf_identity_grouped () =
+  let module Seq = Sim.Sequential in
+  let s =
+    Seq.of_parsed
+      (Netlist.Bench_format.parse_string ~name:"s27"
+         Bench_suite.Embedded.s27_text)
+  in
+  let faulty_comb, _ = Sim.Injector.inject ~seed:3 ~num_errors:1 s.Seq.comb in
+  let faulty = Seq.with_comb s faulty_comb in
+  let tests =
+    Sim.Seq_testgen.generate ~seed:4 ~length:4 ~max_sequences:2000 ~wanted:6
+      ~golden:s ~faulty
+  in
+  let u = Seq.unroll faulty ~frames:4 in
+  let comb_test (t : Sim.Seq_testgen.test) =
+    let vector = Array.make (4 * Seq.num_inputs faulty) false in
+    Array.iteri
+      (fun f row ->
+        Array.iteri (fun pi v -> vector.(u.Seq.input_of ~frame:f ~pi) <- v) row)
+      t.Sim.Seq_testgen.sequence;
+    {
+      Sim.Testgen.vector;
+      po_index =
+        u.Seq.output_of ~frame:t.Sim.Seq_testgen.cycle
+          ~po:t.Sim.Seq_testgen.po_index;
+      expected = t.Sim.Seq_testgen.expected;
+    }
+  in
+  let groups =
+    Array.to_list (C.gate_ids faulty.Seq.comb)
+    |> List.map (fun g -> List.init 4 (fun f -> u.Seq.gate_of ~frame:f g))
+  in
+  Alcotest.(check int) "six sequences" 6 (List.length tests);
+  Alcotest.(check string) "s27 x4 digest" "5465a23b309f878fc206d74c0de855ac"
+    (cnf_digest
+       (Encode.Muxed.export_dimacs ~groups ~k:1 u.Seq.circuit
+          (List.map comb_test tests)))
+
+(* the first vectors a directed twin enumerates on an alu4 pair: its
+   variable order and clause order decide which model comes first *)
+let test_cnf_identity_twin () =
+  let golden = Netlist.Generators.alu 4 in
+  let faulty, errors = Sim.Injector.inject ~seed:77 ~num_errors:1 golden in
+  let site = List.hd (Sim.Fault.sites errors) in
+  let other =
+    List.find (fun g -> g <> site) (Array.to_list (C.gate_ids faulty))
+  in
+  let d =
+    Encode.Twin.build_directed ~golden (Sat.Solver.create ()) faulty
+      ~survivor:[ site ] ~victim:[ other ]
+  in
+  let bits v =
+    String.init (Array.length v) (fun i -> if v.(i) then '1' else '0')
+  in
+  let rec collect n =
+    if n = 0 then []
+    else
+      match Encode.Twin.next_vector d with
+      | Encode.Twin.Vector v -> bits v :: collect (n - 1)
+      | Encode.Twin.Inseparable -> [ "inseparable" ]
+      | Encode.Twin.Unknown -> [ "unknown" ]
+  in
+  Alcotest.(check (list string))
+    "first five vectors"
+    [ "0000100010"; "0000000010"; "0100000010"; "0100010010"; "0000010010" ]
+    (collect 5)
+
 (* ---------- miter counterexamples ---------- *)
 
 (* every counterexample triple is a real failing test of the
@@ -558,6 +645,14 @@ let () =
           Alcotest.test_case "inputs rejected" `Quick
             test_muxed_rejects_input_candidates;
           Alcotest.test_case "dimacs export" `Quick test_muxed_export_dimacs;
+        ] );
+      ( "cnf identity",
+        [
+          Alcotest.test_case "flat instance" `Quick test_cnf_identity_flat;
+          Alcotest.test_case "grouped instance" `Quick
+            test_cnf_identity_grouped;
+          Alcotest.test_case "directed twin vectors" `Quick
+            test_cnf_identity_twin;
         ] );
       ("miter", [ QCheck_alcotest.to_alcotest prop_miter_counterexamples ]);
       ( "twin",
