@@ -34,8 +34,10 @@ let () =
   let solver = Core.Solver.create () in
   let inst = Core.Muxed.build ~max_k:1 solver faulty tests in
   (match Core.Muxed.solve_at_most inst 1 with
-  | Core.Solver.Unsat -> Fmt.pr "no single-gate correction exists@."
-  | Core.Solver.Sat ->
+  | Core.Solver.Solved Core.Solver.Unsat ->
+      Fmt.pr "no single-gate correction exists@."
+  | Core.Solver.Unknown -> assert false (* no budget was given *)
+  | Core.Solver.Solved Core.Solver.Sat ->
       let sol = Core.Muxed.solution inst in
       Fmt.pr "BSAT correction: %a@." pp_sol sol;
       (* read off the correction witness: for each test, the value the

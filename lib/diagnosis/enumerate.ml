@@ -18,7 +18,7 @@ let muxed ?unless inst =
   {
     solve =
       (fun ~budget ~extra i ->
-        Encode.Muxed.solve_at_most_limited ~extra ~budget inst i);
+        Encode.Muxed.solve_at_most ~extra ~budget inst i);
     solution = (fun () -> Encode.Muxed.solution inst);
     block = Encode.Muxed.block ?unless inst;
   }
@@ -96,7 +96,7 @@ let shrink ~budget ~count inst sol =
     in
     count ();
     match
-      Encode.Muxed.solve_at_most_limited ~extra ~budget inst
+      Encode.Muxed.solve_at_most ~extra ~budget inst
         (List.length candidate)
     with
     | Sat.Solver.Solved Sat.Solver.Sat -> Sat.Shrink.Holds

@@ -216,7 +216,7 @@ let diagnose ?(heuristic = Bfs) ?(max_solutions = max_int)
               Sat.Solver.shrink_core
                 ~solve:(fun assumptions ->
                   incr st.ncalls;
-                  Encode.Muxed.solve_at_most_limited ~extra:assumptions ~budget
+                  Encode.Muxed.solve_at_most ~extra:assumptions ~budget
                     st.inst k)
                 st.solver lits
             in

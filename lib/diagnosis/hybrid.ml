@@ -38,17 +38,13 @@ type repair_result = {
 
 type repair_outcome = { repaired : repair_result option; outcome : Outcome.t }
 
-let repair ?marks ?(budget = Sat.Budget.unlimited ()) ?obs ?(certify = false)
+let repair ?(budget = Sat.Budget.unlimited ()) ?obs ?(certify = false)
     ?jobs ~k ~seed c tests =
   Telemetry.phase obs "hybrid/repair"
     ~payload:(fun r ->
       match r.repaired with None -> 0 | Some r -> List.length r.correction)
   @@ fun () ->
-  let marks =
-    match marks with
-    | Some m -> m
-    | None -> (Bsim.diagnose ?jobs c tests).Bsim.marks
-  in
+  let marks = (Bsim.diagnose ?jobs c tests).Bsim.marks in
   let t0 = Obs.Clock.wall () in
   let solver = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~certify ~max_k:k solver c tests in
@@ -91,7 +87,7 @@ let repair ?marks ?(budget = Sat.Budget.unlimited ()) ?obs ?(certify = false)
       if Sat.Budget.exhausted budget then Sat.Solver.Unknown
       else begin
         incr calls;
-        Encode.Muxed.solve_at_most_limited ~extra ~budget inst k
+        Encode.Muxed.solve_at_most ~extra ~budget inst k
       end
     in
     match answer with

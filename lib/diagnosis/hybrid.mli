@@ -74,7 +74,6 @@ type repair_outcome = {
 }
 
 val repair :
-  ?marks:int array ->
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?certify:bool ->
@@ -84,11 +83,11 @@ val repair :
   Netlist.Circuit.t ->
   Sim.Testgen.test list ->
   repair_outcome
-(** [marks] orders seed dropping (least-marked first); defaults to
-    running BSIM internally — [jobs] parallelizes that marking pass
-    (the repair search itself is a sequential assumption ladder on one
-    live instance).  [certify] verifies every solver answer of the
-    ladder and the shrink with the {!Encode.Muxed} DRUP discipline.
+(** BSIM's marks order seed dropping (least-marked first); [jobs]
+    parallelizes that marking pass (the repair search itself is a
+    sequential assumption ladder on one live instance).  [certify]
+    verifies every solver answer of the ladder and the shrink with the
+    {!Encode.Muxed} DRUP discipline.
     [obs] brackets the whole repair with a ["hybrid/repair"]
     [Begin]/[End] event pair ([End] payload = final correction size, 0
     on failure). *)

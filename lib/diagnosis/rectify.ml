@@ -140,15 +140,19 @@ let consistent_witness c tests solution =
       solver c tests
   in
   let selects = List.map (Encode.Muxed.select_lit inst) solution in
+  let solve extra =
+    Encode.Muxed.solve_at_most ~extra:(selects @ extra) inst
+      (List.length solution)
+  in
   (* On a conflicting input combination, force every test currently
      showing it to one shared polarity (assumptions, both polarities
      tried) and re-solve; accumulate until the witness is functional. *)
   let rec attempt extra round =
     if round > 24 then None
     else
-      match Sat.Solver.solve ~assumptions:(selects @ extra) solver with
-      | Sat.Solver.Unsat -> None
-      | Sat.Solver.Sat -> (
+      match solve extra with
+      | Sat.Solver.Solved Sat.Solver.Unsat | Sat.Solver.Unknown -> None
+      | Sat.Solver.Solved Sat.Solver.Sat -> (
           match extract_tables inst solution num_tests with
           | tables -> Some tables
           | exception Conflict (g, vals) ->
@@ -163,10 +167,7 @@ let consistent_witness c tests solution =
                   tis
               in
               let feasible polarity =
-                Sat.Solver.solve
-                  ~assumptions:(selects @ extra @ pins polarity)
-                  solver
-                = Sat.Solver.Sat
+                solve (extra @ pins polarity) = Sat.Solver.Solved Sat.Solver.Sat
               in
               if feasible true then attempt (extra @ pins true) (round + 1)
               else if feasible false then

@@ -94,36 +94,6 @@ let diagnose_cov ?max_solutions ?budget ~k s tests =
   let sets = bsim s tests in
   fst (Cover.enumerate ?max_solutions ?budget ~k sets)
 
-type distinguishing =
-  | Separating of bool array array
-  | Inseparable
-  | Unknown
-
-let distinguishing_test ?budget ~frames s ~a ~b =
-  if frames < 1 then invalid_arg "Seq_diag.distinguishing_test: frames < 1";
-  let u = Sequential.unroll s ~frames in
-  (* every frame copy of a core candidate is a correction site: the
-     per-frame, per-test free values of the sequential error model *)
-  let all_frames gates =
-    List.concat_map
-      (fun g -> List.init frames (fun f -> u.Sequential.gate_of ~frame:f g))
-      gates
-  in
-  let solver = Sat.Solver.create () in
-  let twin =
-    Encode.Twin.build solver u.Sequential.circuit ~a:(all_frames a)
-      ~b:(all_frames b)
-  in
-  match Encode.Twin.next_vector ?budget twin with
-  | Encode.Twin.Unknown -> Unknown
-  | Encode.Twin.Inseparable -> Inseparable
-  | Encode.Twin.Vector v ->
-      let ni = Sequential.num_inputs s in
-      Separating
-        (Array.init frames (fun f ->
-             Array.init ni (fun pi ->
-                 v.(u.Sequential.input_of ~frame:f ~pi))))
-
 let check s tests core_gates =
   match tests with
   | [] -> true
@@ -145,7 +115,6 @@ let check s tests core_gates =
             Encode.Muxed.build ~groups ~max_k:(List.length core_gates) solver
               u.Sequential.circuit comb_tests
           in
-          let extra =
-            List.map (fun g -> Encode.Muxed.select_lit inst g) core_gates
-          in
-          Sat.Solver.solve ~assumptions:extra solver = Sat.Solver.Sat)
+          let extra = List.map (Encode.Muxed.select_lit inst) core_gates in
+          Encode.Muxed.solve_at_most ~extra inst (List.length core_gates)
+          = Sat.Solver.Solved Sat.Solver.Sat)

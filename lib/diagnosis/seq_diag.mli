@@ -46,28 +46,3 @@ val check :
   Sim.Sequential.t -> Sim.Seq_testgen.test list -> int list -> bool
 (** Is a set of core gates a valid sequential correction (free per-frame,
     per-test values)?  SAT-based effect analysis on the unrolled model. *)
-
-type distinguishing =
-  | Separating of bool array array
-      (** one primary-input row per frame: an input sequence on which
-          the two candidates can produce different output streams *)
-  | Inseparable
-      (** no sequence of [frames] cycles separates the candidates *)
-  | Unknown  (** budget exhausted *)
-
-val distinguishing_test :
-  ?budget:Sat.Budget.t ->
-  frames:int ->
-  Sim.Sequential.t ->
-  a:int list ->
-  b:int list ->
-  distinguishing
-(** The time-frame twin query (Pecheur–Cimatti SAT-BMC diagnosability,
-    bounded at [frames] cycles): the machine is unrolled, every frame
-    copy of a core candidate gate becomes a correction site of its side,
-    and an {!Encode.Twin} instance asks for an input sequence on which
-    the two corrected unrollings can differ on some output at some
-    cycle.  [Inseparable] is sound for the given bound: no test sequence
-    of [frames] cycles (from the reset state) distinguishes candidate
-    [a] from candidate [b].  This is the sequential extension hook of
-    {!Adaptive}'s combinational loop. *)

@@ -9,10 +9,9 @@ let check_sat c tests cands =
         Encode.Muxed.build ~candidates:cands ~max_k:(List.length cands) solver
           c tests
       in
-      let assumptions =
-        List.map (fun g -> Encode.Muxed.select_lit inst g) cands
-      in
-      Sat.Solver.solve ~assumptions solver = Sat.Solver.Sat
+      let extra = List.map (Encode.Muxed.select_lit inst) cands in
+      Encode.Muxed.solve_at_most ~extra inst (List.length cands)
+      = Sat.Solver.Solved Sat.Solver.Sat
 
 (* A test is rectifiable by C iff some assignment of values to the gates
    of C makes the erroneous output correct (inputs fixed by the test). *)
@@ -59,10 +58,6 @@ let singles c tests =
   List.fold_left narrow
     (List.sort Int.compare (Array.to_list (Circuit.gate_ids c)))
     tests
-
-let failing_tests_sim c tests cands =
-  let ctx = Sim.Sim_ctx.create c in
-  List.filter (fun t -> not (test_rectifiable ~ctx c t cands)) tests
 
 let essential ~check cands =
   List.for_all (fun g -> not (check (List.filter (( <> ) g) cands))) cands

@@ -32,11 +32,6 @@ val singles : Netlist.Circuit.t -> Sim.Testgen.test list -> int list
     early-exit flip ({!Sim.Event_sim.output_after}) per surviving
     candidate.  Tests that already pass constrain nothing. *)
 
-val failing_tests_sim :
-  Netlist.Circuit.t -> Sim.Testgen.test list -> int list -> Sim.Testgen.test list
-(** The tests that cannot be rectified by any value choice on the set —
-    the refinement signal used by the advanced simulation-based search. *)
-
 val essential :
   check:(int list -> bool) -> int list -> bool
 (** Whether a valid set contains only essential candidates

@@ -9,12 +9,6 @@ let of_solver s =
     clause = (fun c -> Sat.Solver.add_clause s c);
   }
 
-let of_cnf f =
-  {
-    fresh = (fun () -> Sat.Cnf.fresh_var f);
-    clause = (fun c -> Sat.Cnf.add_clause f c);
-  }
-
 let tee e mirror =
   {
     fresh =

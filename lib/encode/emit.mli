@@ -1,6 +1,7 @@
-(** Clause sink abstraction: encodings can target either an incremental
-    {!Sat.Solver.t} (the normal path) or a {!Sat.Cnf.t} (for DIMACS export
-    and for oracle checks in tests). *)
+(** Clause sink abstraction: encodings emit into an incremental
+    {!Sat.Solver.t}, optionally mirrored into a {!Sat.Cnf.t} for DIMACS
+    export ({!tee}), and a certifier may wrap the sink to see every
+    clause. *)
 
 type t = {
   fresh : unit -> int;             (** allocate a new variable *)
@@ -8,7 +9,6 @@ type t = {
 }
 
 val of_solver : Sat.Solver.t -> t
-val of_cnf : Sat.Cnf.t -> t
 
 val tee : t -> Sat.Cnf.t -> t
 (** Mirror every clause (and variable allocation) of a sink into a CNF —

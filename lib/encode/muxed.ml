@@ -1,12 +1,10 @@
 module Circuit = Netlist.Circuit
-module Gate = Netlist.Gate
 module Lit = Sat.Lit
 
 type t = {
   solver : Sat.Solver.t;
   emit : Emit.t;
   circ : Circuit.t;
-  mutable tests : Sim.Testgen.test array;
   groups : int array array;          (* group index -> member gate ids *)
   group_of : (int, int) Hashtbl.t;   (* gate id -> group index *)
   selects : int array;               (* group index -> select var *)
@@ -19,31 +17,20 @@ type t = {
    carry its select literal, so [y = kind(fanins)] unless the gate is
    selected, and a selected gate's [y] is the free correction value *)
 let encode_copy e circ group_of selects (test : Sim.Testgen.test) =
-  let n = Circuit.size circ in
-  let y = Array.make n (-1) in
-  Array.iteri
-    (fun i g ->
-      let v = e.Emit.fresh () in
-      y.(g) <- v;
-      e.Emit.clause [ Lit.make v test.Sim.Testgen.vector.(i) ])
-    circ.Circuit.inputs;
-  Array.iter
-    (fun g ->
-      match circ.Circuit.kinds.(g) with
-      | Gate.Input -> ()
-      | kind ->
-          let v = e.Emit.fresh () in
-          y.(g) <- v;
-          let e =
-            match Hashtbl.find_opt group_of g with
-            | None -> e
-            | Some gi ->
-                let s = Lit.pos selects.(gi) in
-                { e with Emit.clause = (fun cl -> e.Emit.clause (s :: cl)) }
-          in
-          Tseitin.gate_clauses e ~out:(Lit.pos v) kind
-            (Array.map (fun h -> Lit.pos y.(h)) circ.Circuit.fanins.(g)))
-    circ.Circuit.topo;
+  let inputs =
+    Array.map
+      (fun b ->
+        let v = e.Emit.fresh () in
+        e.Emit.clause [ Lit.make v b ];
+        v)
+      test.Sim.Testgen.vector
+  in
+  let y =
+    Tseitin.copy e circ ~inputs (fun g ->
+        match Hashtbl.find_opt group_of g with
+        | None -> Tseitin.Plain
+        | Some gi -> Tseitin.Guarded (Lit.pos selects.(gi)))
+  in
   let og = circ.Circuit.outputs.(test.Sim.Testgen.po_index) in
   e.Emit.clause [ Lit.make y.(og) test.Sim.Testgen.expected ];
   y
@@ -57,7 +44,6 @@ let build ?mirror ?candidates ?(groups = []) ?(certify = false) ~max_k
     | Some cnf -> Emit.tee (Emit.of_solver solver) cnf
   in
   let e = Certifier.tee cert e in
-  let tests = Array.of_list tests in
   let groups =
     let explicit =
       List.map (fun g -> Array.of_list (List.sort_uniq Int.compare g)) groups
@@ -84,32 +70,21 @@ let build ?mirror ?candidates ?(groups = []) ?(certify = false) ~max_k
         members)
     groups;
   let selects = Array.map (fun _ -> e.Emit.fresh ()) groups in
-  let copies = Array.map (encode_copy e circ group_of selects) tests in
+  let copies =
+    Array.map (encode_copy e circ group_of selects) (Array.of_list tests)
+  in
   let counter =
     Cardinality.encode_at_most e
       ~lits:(Array.to_list (Array.map Lit.pos selects))
       ~max_bound:(min max_k (Array.length selects))
   in
-  {
-    solver;
-    emit = e;
-    circ;
-    tests;
-    groups;
-    group_of;
-    selects;
-    counter;
-    copies;
-    cert;
-  }
+  { solver; emit = e; circ; groups; group_of; selects; counter; copies; cert }
 
-let certified t = t.cert <> None
 let cert_checks t = Certifier.checks t.cert
 let cert_failures t = Certifier.failures t.cert
 
 let add_test t test =
   let y = encode_copy t.emit t.circ t.group_of t.selects test in
-  t.tests <- Array.append t.tests [| test |];
   t.copies <- Array.append t.copies [| y |]
 
 let circuit t = t.circ
@@ -118,8 +93,6 @@ let candidate_gates t =
   Array.concat (Array.to_list t.groups)
   |> Array.to_list |> List.sort_uniq Int.compare |> Array.of_list
 
-let num_tests t = Array.length t.tests
-
 let select_lit t g =
   match Hashtbl.find_opt t.group_of g with
   | Some i -> Lit.pos t.selects.(i)
@@ -127,44 +100,18 @@ let select_lit t g =
 
 let num_groups t = Array.length t.selects
 
-let solve_at_most ?(extra = []) t k =
-  let bound = Cardinality.bound_assumption t.counter (min k (num_groups t)) in
-  let assumptions = bound @ extra in
-  let r = Sat.Solver.solve ~assumptions t.solver in
-  Certifier.verdict t.cert t.solver ~assumptions (Sat.Solver.Solved r);
-  r
-
-let solve_at_most_limited ?(extra = []) ~budget t k =
+let solve_at_most ?(extra = []) ?(budget = Sat.Budget.unlimited ()) t k =
   let bound = Cardinality.bound_assumption t.counter (min k (num_groups t)) in
   let assumptions = bound @ extra in
   let r = Sat.Solver.solve_limited ~assumptions ~budget t.solver in
   Certifier.verdict t.cert t.solver ~assumptions r;
   r
 
-let solve_exactly ?(extra = []) t k =
-  if k > num_groups t then Sat.Solver.Unsat
-    (* vacuous bound, no solver call: nothing to certify *)
-  else begin
-    let bound = Cardinality.exactly_bound t.counter k in
-    let assumptions = bound @ extra in
-    let r = Sat.Solver.solve ~assumptions t.solver in
-    Certifier.verdict t.cert t.solver ~assumptions (Sat.Solver.Solved r);
-    r
-  end
-
-let selected_group_indices t =
-  List.filter
-    (fun i -> Sat.Solver.value t.solver t.selects.(i))
-    (List.init (num_groups t) Fun.id)
-
 let solution t =
-  selected_group_indices t
+  List.init (num_groups t) Fun.id
+  |> List.filter (fun i -> Sat.Solver.value t.solver t.selects.(i))
   |> List.map (fun i -> Array.fold_left min max_int t.groups.(i))
   |> List.sort Int.compare
-
-let solution_groups t =
-  selected_group_indices t
-  |> List.map (fun i -> Array.to_list t.groups.(i))
 
 let correction_var t ~test ~gate =
   if not (Hashtbl.mem t.group_of gate) then raise Not_found;

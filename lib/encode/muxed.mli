@@ -79,33 +79,25 @@ val circuit : t -> Netlist.Circuit.t
 val candidate_gates : t -> int array
 (** All gates carrying a multiplexer, over all groups. *)
 
-val num_tests : t -> int
-
 val select_lit : t -> int -> Sat.Lit.t
 (** Select literal of a candidate gate's group.
     @raise Not_found for non-candidates. *)
 
-val solve_at_most : ?extra:Sat.Lit.t list -> t -> int -> Sat.Solver.result
-(** Solve under "at most k selected groups", plus extra assumptions. *)
-
-val solve_at_most_limited :
+val solve_at_most :
   ?extra:Sat.Lit.t list ->
-  budget:Sat.Budget.t ->
+  ?budget:Sat.Budget.t ->
   t ->
   int ->
   Sat.Solver.limited_result
-(** [solve_at_most] under a solver-effort budget ({!Sat.Solver.solve_limited});
-    consumed effort is charged to [budget], so one budget can cap a whole
-    enumeration. *)
-
-val solve_exactly : ?extra:Sat.Lit.t list -> t -> int -> Sat.Solver.result
+(** Solve under "at most k selected groups" plus the [extra]
+    assumptions, within [budget] (default unlimited, so the answer is
+    never [Unknown]); consumed effort is charged to [budget], so one
+    budget can cap a whole enumeration.  This is the instance's only
+    solve: on a certified instance every answer is verified here. *)
 
 val solution : t -> int list
 (** After [Sat]: one representative (smallest gate id) per selected
     group, sorted.  For singleton groups this is the gate itself. *)
-
-val solution_groups : t -> int list list
-(** After [Sat]: the selected groups in full. *)
 
 val correction_value : t -> test:int -> gate:int -> bool
 (** After [Sat]: the value injected at a selected candidate gate for a
@@ -146,9 +138,6 @@ val assert_clause : t -> Sat.Lit.t list -> unit
 
 val fresh_activation : t -> Sat.Lit.t
 (** A fresh activation literal for guarded blocking clauses. *)
-
-val certified : t -> bool
-(** Was the instance built with [~certify:true]? *)
 
 val cert_checks : t -> int
 (** Solver answers verified so far (both [Sat] and [Unsat]; [Unknown]

@@ -71,3 +71,28 @@ let encode_with_inputs (e : Emit.t) c vector =
     (fun i g -> e.Emit.clause [ Lit.make vars.(g) vector.(i) ])
     c.Circuit.inputs;
   vars
+
+type role = Plain | Guarded of Lit.t | Free
+
+let copy (e : Emit.t) (c : Circuit.t) ~inputs role =
+  let y = Array.make (Circuit.size c) (-1) in
+  Array.iteri (fun i g -> y.(g) <- inputs.(i)) c.Circuit.inputs;
+  Array.iter
+    (fun g ->
+      match c.Circuit.kinds.(g) with
+      | Gate.Input -> ()
+      | kind -> (
+          let v = e.Emit.fresh () in
+          y.(g) <- v;
+          let clauses e =
+            gate_clauses e ~out:(Lit.pos v) kind
+              (Array.map (fun h -> Lit.pos y.(h)) c.Circuit.fanins.(g))
+          in
+          match role g with
+          | Plain -> clauses e
+          | Guarded s ->
+              clauses
+                { e with Emit.clause = (fun cl -> e.Emit.clause (s :: cl)) }
+          | Free -> ()))
+    c.Circuit.topo;
+  y

@@ -15,3 +15,19 @@ val encode : Emit.t -> Netlist.Circuit.t -> int array
 val encode_with_inputs :
   Emit.t -> Netlist.Circuit.t -> bool array -> int array
 (** Same, plus unit clauses pinning the primary inputs to a vector. *)
+
+(** How {!copy} encodes one logic gate. *)
+type role =
+  | Plain  (** [y = kind(fanins)] *)
+  | Guarded of Sat.Lit.t
+      (** every gate clause carries the literal, so [y = kind(fanins)]
+          holds unless the literal is true — a select-guarded
+          correction multiplexer *)
+  | Free  (** no clauses: [y] is any value — a correction site *)
+
+val copy :
+  Emit.t -> Netlist.Circuit.t -> inputs:int array -> (int -> role) -> int array
+(** [copy e c ~inputs role] encodes one copy of [c] whose primary inputs
+    are the given variables (in circuit input order) and whose logic
+    gates, in topological order, each get a fresh variable encoded as
+    [role g] says.  Returns the gate-id -> variable map. *)

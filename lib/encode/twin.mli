@@ -1,32 +1,28 @@
-(** Twin-circuit distinguishing-test instance.
+(** Twin-circuit distinguishing-test instance: the measurement the
+    adaptive loop ({!Diagnosis.Adaptive}) commits next.
 
-    Two copies of the same (faulty) circuit share their primary inputs;
-    copy A treats the gates of candidate [a] as correction sites, copy B
-    those of candidate [b].  A correction site contributes a {e free}
-    variable instead of its gate function — the per-vector projection of
-    "re-assign the gate any Boolean function", exactly the correction
-    model of {!Muxed} with the candidate's select lines held on.  A
-    {!Miter}-style XOR disjunction asserts that some primary output of
-    the two corrected copies differs.
+    For two candidate diagnoses of a faulty circuit, a [survivor] and a
+    [victim], the instance asks for one input vector on which measuring
+    the circuit {e certainly} kills the victim and keeps the survivor.
+    All copies below share their primary-input variables:
 
-    A [Sat] answer yields an input vector on which the two candidates
-    {e can} behave differently — a candidate distinguishing test for the
-    adaptive loop (whether it actually splits the surviving diagnosis
-    set is decided by resimulation, see {!Diagnosis.Adaptive}).  [Unsat]
-    is a proof that for {e every} input vector, {e all} correction
-    values of both sides produce identical outputs: each side's
-    achievable response is the same singleton, so no test — present or
-    future — can tell the two candidates apart.
+    - a golden copy and an uncorrected copy of the implementation, whose
+      disagreement gives a per-output failing flag [f_o];
+    - a survivor copy in which the survivor's gates are correction
+      sites: a site contributes a {e free} variable instead of its gate
+      function — the per-vector projection of "re-assign the gate any
+      Boolean function", exactly the correction model of {!Muxed} with
+      the candidate's select lines held on.  It must match golden on
+      every failing output;
+    - one victim copy per assignment of correction values to the
+      victim's gates, each pinned to its assignment and required to miss
+      golden on some failing output.
 
-    With a [~golden] reference the instance carries two further copies
-    over the same shared inputs — the uncorrected implementation and the
-    golden circuit — and asserts that they too differ on some output:
-    every model is then a {e failing} test of the implementation, i.e. a
-    vector the adaptive loop can actually measure a kill on.  Since a
-    passing test never invalidates a candidate (a correction site is
-    free to reproduce the gate's own value), the restriction loses no
-    distinguishing power, and [Unsat] still certifies that no future
-    measurement separates the pair. *)
+    Both sides constrain only failing outputs, as
+    {!Diagnosis.Validity.check_sat} does on the vector's failing
+    triples.  [Unsat] proves no future measurement keeps the survivor
+    while killing the victim; [Unsat] in both directions proves the two
+    candidates survive or die together on every test. *)
 
 type t
 
@@ -38,27 +34,6 @@ type answer =
       (** Unsat: the two candidates are provably indistinguishable. *)
   | Unknown  (** Budget exhausted before an answer. *)
 
-val build :
-  ?certify:bool ->
-  ?golden:Netlist.Circuit.t ->
-  Sat.Solver.t ->
-  Netlist.Circuit.t ->
-  a:int list ->
-  b:int list ->
-  t
-(** [build solver c ~a ~b] encodes the twin instance into [solver].
-    [a] and [b] are candidate gate sets (they may overlap); primary
-    inputs cannot be correction sites.  [golden] additionally restricts
-    models to failing tests of [c] against the reference (see above);
-    it must have the same input/output arity as [c].
-
-    [certify] attaches a {!Certifier}, as {!Muxed.build} does, with no
-    assumptions: each [Sat] answer is verified by model
-    evaluation, each [Unsat] answer by replaying the proof to the empty
-    clause.  Requires a fresh [solver].
-    @raise Invalid_argument when a candidate is a primary input or the
-    golden reference's arity mismatches. *)
-
 val build_directed :
   ?certify:bool ->
   golden:Netlist.Circuit.t ->
@@ -68,28 +43,18 @@ val build_directed :
   victim:int list ->
   t
 (** [build_directed ~golden solver c ~survivor ~victim] encodes the
-    {e guaranteed-kill} strengthening of the twin instance: a model is
-    an input vector on which the [survivor] candidate can still explain
-    the vector's failing triples while {e no} correction-value
-    assignment of the [victim] candidate can — exactly the validity
-    notion of {!Diagnosis.Validity.check_sat} on the resimulated
-    triples (an uncorrected copy of the implementation computes the
-    per-output failing flags, and all correctness conditions are
-    restricted to the failing outputs).  Measuring such a vector
-    therefore invalidates [victim] with certainty (and keeps
-    [survivor]), with no resimulation gamble; every model is
-    automatically a failing test, since a vector with no failing output
-    kills nobody.
+    instance into [solver].  A model is a failing test of [c] on which
+    [survivor] explains every failing triple and no correction of
+    [victim] does, so measuring it kills [victim] with no resimulation
+    gamble.  The victim side is expanded over all [2^|victim|]
+    correction assignments, so that candidate must be small; the
+    survivor side stays a single freed copy.  [golden] must have the
+    input/output arity of [c].
 
-    The victim side is expanded over all [2^|victim|] correction
-    assignments (one pinned copy each), so the candidate must be small;
-    the survivor side stays a single freed copy.
-
-    [Unsat] proves no future measurement can keep [survivor] while
-    killing [victim]; [Unsat] in both directions proves the two
-    candidates survive or die together on every test — the exact
-    pairwise indistinguishability the adaptive loop's verdict rests on
-    (see {!Diagnosis.Adaptive}).
+    [certify] attaches a {!Certifier}, as {!Muxed.build} does, with no
+    assumptions: each [Sat] answer is verified by model evaluation, each
+    [Unsat] answer by replaying the proof to the empty clause.  Requires
+    a fresh [solver].
     @raise Invalid_argument when a candidate is a primary input, the
     golden arity mismatches, or [victim] has more than 10 gates. *)
 
@@ -103,9 +68,6 @@ val block : t -> bool array -> unit
     {!next_vector} adds after each answer; use it to rule out vectors
     already obtained from {e other} twin instances.
     @raise Invalid_argument on an arity mismatch. *)
-
-val num_vectors : t -> int
-(** Vectors returned (and blocked) so far. *)
 
 val cert_checks : t -> int
 (** Solver answers verified so far (0 unless built with [~certify]). *)

@@ -32,7 +32,3 @@ let distance_from (c : Circuit.t) roots =
     Array.iter visit c.fanouts.(g)
   in
   bfs neighbours (Circuit.size c) roots
-
-let outputs_reached c g =
-  let reach = fanout_cone c [ g ] in
-  Array.to_list c.Circuit.outputs |> List.filter (fun o -> reach.(o))

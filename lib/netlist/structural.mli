@@ -12,6 +12,3 @@ val distance_from : Circuit.t -> int list -> int array
     number of edges on a shortest connection-graph path from [g] to the
     nearest source, [max_int] if unreachable.  This is the
     "distance to the nearest error" measure of the paper's Table 3. *)
-
-val outputs_reached : Circuit.t -> int -> int list
-(** Primary outputs in the fanout cone of a gate. *)

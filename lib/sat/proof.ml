@@ -1,14 +1,8 @@
 type step = Add of Lit.t list | Delete of Lit.t list
 
-type sink =
-  | Memory of { mutable a : step array; mutable n : int }
-  | Channel of out_channel
+type t = { mutable a : step array; mutable n : int }
 
-type t = { sink : sink; mutable count : int }
-
-let in_memory () = { sink = Memory { a = Array.make 16 (Add []); n = 0 }; count = 0 }
-
-let to_channel oc = { sink = Channel oc; count = 0 }
+let in_memory () = { a = Array.make 16 (Add []); n = 0 }
 
 (* canonical form: literals sorted by code, duplicates kept out by the
    solver (learnt clauses never contain duplicates) but dropped here
@@ -24,17 +18,13 @@ let step_to_string s =
   | Delete lits -> "d " ^ body lits ^ "0\n"
 
 let record t s =
-  t.count <- t.count + 1;
-  match t.sink with
-  | Channel oc -> output_string oc (step_to_string s)
-  | Memory m ->
-      if m.n = Array.length m.a then begin
-        let a' = Array.make (2 * m.n) (Add []) in
-        Array.blit m.a 0 a' 0 m.n;
-        m.a <- a'
-      end;
-      m.a.(m.n) <- s;
-      m.n <- m.n + 1
+  if t.n = Array.length t.a then begin
+    let a' = Array.make (2 * t.n) (Add []) in
+    Array.blit t.a 0 a' 0 t.n;
+    t.a <- a'
+  end;
+  t.a.(t.n) <- s;
+  t.n <- t.n + 1
 
 let add t lits = record t (Add (canon lits))
 let delete t lits = record t (Delete (canon lits))
@@ -65,23 +55,15 @@ let canon_codes codes =
 let add_codes t codes = record t (Add (canon_codes codes))
 let delete_codes t codes = record t (Delete (canon_codes codes))
 
-let close t = match t.sink with Channel oc -> flush oc | Memory _ -> ()
+let num_steps t = t.n
 
-let num_steps t = t.count
-
-let steps_from t i =
-  match t.sink with
-  | Memory m -> Array.sub m.a i (m.n - i)
-  | Channel _ -> invalid_arg "Proof.steps: channel-backed sink"
+let steps_from t i = Array.sub t.a i (t.n - i)
 
 let steps t = steps_from t 0
 
 let to_string t =
-  match t.sink with
-  | Memory m ->
-      let buf = Buffer.create (64 * m.n) in
-      for i = 0 to m.n - 1 do
-        Buffer.add_string buf (step_to_string m.a.(i))
-      done;
-      Buffer.contents buf
-  | Channel _ -> invalid_arg "Proof.to_string: channel-backed sink"
+  let buf = Buffer.create (64 * t.n) in
+  for i = 0 to t.n - 1 do
+    Buffer.add_string buf (step_to_string t.a.(i))
+  done;
+  Buffer.contents buf

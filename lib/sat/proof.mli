@@ -1,4 +1,4 @@
-(** DRUP proof sinks.
+(** DRUP proof logs.
 
     A proof is the sequence of clause additions (every clause the solver
     learns, post-minimization, plus the final clause certifying an Unsat
@@ -19,13 +19,8 @@ type step =
 type t
 
 val in_memory : unit -> t
-(** A sink that retains every step for in-process checking
-    ({!steps}) and later serialization ({!to_string}). *)
-
-val to_channel : out_channel -> t
-(** A sink that streams standard DRUP text (one step per line, DIMACS
-    literal numbering, deletions prefixed [d], terminated by [0]) and
-    retains nothing.  The caller owns the channel; {!close} flushes it. *)
+(** An empty log.  It retains every step for in-process checking
+    ({!steps}) and serialization as DRUP text ({!to_string}). *)
 
 val add : t -> Lit.t list -> unit
 (** Record a derived clause. *)
@@ -40,26 +35,21 @@ val add_codes : t -> int array -> unit
 val delete_codes : t -> int array -> unit
 (** [delete t] of the literals encoded by {!Lit.code}. *)
 
-val close : t -> unit
-(** Flush a channel-backed sink (no-op for in-memory sinks). *)
-
 val num_steps : t -> int
 (** Steps recorded so far (both kinds). *)
 
 val steps : t -> step array
-(** The retained steps, in derivation order.
-    @raise Invalid_argument on a channel-backed sink. *)
+(** The retained steps, in derivation order. *)
 
 val steps_from : t -> int -> step array
 (** [steps_from t i]: the retained steps from index [i] on (the steps a
     consumer that has seen the first [i] has not), without copying the
     earlier ones.
-    @raise Invalid_argument on a channel-backed sink or when [i] is
-    outside [0 .. num_steps]. *)
+    @raise Invalid_argument when [i] is outside [0 .. num_steps]. *)
 
 val step_to_string : step -> string
 (** One DRUP text line, newline-terminated. *)
 
 val to_string : t -> string
-(** The full DRUP text of an in-memory proof.
-    @raise Invalid_argument on a channel-backed sink. *)
+(** The full DRUP text: one step per line, DIMACS literal numbering,
+    deletions prefixed [d], each line terminated by [0]. *)

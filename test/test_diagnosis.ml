@@ -468,7 +468,8 @@ let test_lemma1_clauses_settle_level1 () =
       (Encode.Muxed.candidate_gates inst);
     let before = (Sat.Solver.stats solver).decisions in
     let r = Encode.Muxed.solve_at_most inst 1 in
-    (r = Sat.Solver.Unsat, (Sat.Solver.stats solver).decisions - before)
+    ( r = Sat.Solver.Solved Sat.Solver.Unsat,
+      (Sat.Solver.stats solver).decisions - before )
   in
   List.iter
     (fun seed ->
@@ -844,10 +845,7 @@ let test_hybrid_repair_shrink_counted () =
   let solver = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~max_k:1 solver c [ t ] in
   let before = (Sat.Solver.stats solver).Sat.Solver.propagations in
-  (match
-     Encode.Muxed.solve_at_most_limited ~budget:(Sat.Budget.unlimited ())
-       inst 1
-   with
+  (match Encode.Muxed.solve_at_most inst 1 with
   | Sat.Solver.Solved Sat.Solver.Sat -> ()
   | _ -> Alcotest.fail "the ladder's first solve answers Sat");
   let used = (Sat.Solver.stats solver).Sat.Solver.propagations - before in

@@ -169,18 +169,6 @@ let test_bsat_max_solutions_truncates () =
   Alcotest.(check int) "one solution" 1 (List.length r.Diagnosis.Bsat.solutions);
   Alcotest.(check bool) "flagged" true r.Diagnosis.Bsat.truncated
 
-let test_solve_exactly () =
-  let faulty, tests = faulty_pair () in
-  let solver = Sat.Solver.create () in
-  let inst = Encode.Muxed.build ~max_k:2 solver faulty tests in
-  (match Encode.Muxed.solve_exactly inst 2 with
-  | Sat.Solver.Sat ->
-      Alcotest.(check int) "exactly two" 2
-        (List.length (Encode.Muxed.solution inst))
-  | Sat.Solver.Unsat -> ());
-  Alcotest.(check bool) "k > candidates unsat" true
-    (Encode.Muxed.solve_exactly inst 1000 = Sat.Solver.Unsat)
-
 let test_validity_empty_set () =
   let faulty, tests = faulty_pair () in
   Alcotest.(check bool) "empty set invalid on failing tests" false
@@ -292,7 +280,6 @@ let () =
           Alcotest.test_case "k > gates" `Quick test_bsat_k_larger_than_gates;
           Alcotest.test_case "max_solutions" `Quick
             test_bsat_max_solutions_truncates;
-          Alcotest.test_case "solve exactly" `Quick test_solve_exactly;
           Alcotest.test_case "empty candidate set" `Quick
             test_validity_empty_set;
           Alcotest.test_case "oversized sim check" `Quick

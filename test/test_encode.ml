@@ -233,7 +233,7 @@ let test_muxed_no_selection_unsat () =
   let solver = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~max_k:1 solver faulty tests in
   Alcotest.(check bool) "k=0 unsat" true
-    (Encode.Muxed.solve_at_most inst 0 = Sat.Solver.Unsat)
+    (Encode.Muxed.solve_at_most inst 0 = Sat.Solver.Solved Sat.Solver.Unsat)
 
 let test_muxed_error_site_satisfies () =
   let faulty, errors, tests = faulty_adder () in
@@ -242,7 +242,8 @@ let test_muxed_error_site_satisfies () =
   let inst = Encode.Muxed.build ~max_k:1 solver faulty tests in
   let extra = List.map (Encode.Muxed.select_lit inst) sites in
   Alcotest.(check bool) "selecting the real error site works" true
-    (Encode.Muxed.solve_at_most ~extra inst 1 = Sat.Solver.Sat);
+    (Encode.Muxed.solve_at_most ~extra inst 1
+    = Sat.Solver.Solved Sat.Solver.Sat);
   Alcotest.(check (list int)) "solution is the site" sites
     (Encode.Muxed.solution inst)
 
@@ -253,8 +254,9 @@ let test_muxed_correction_witness () =
   let solver = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~max_k:2 solver faulty tests in
   match Encode.Muxed.solve_at_most inst 2 with
-  | Sat.Solver.Unsat -> Alcotest.fail "expected a correction"
-  | Sat.Solver.Sat ->
+  | Sat.Solver.Solved Sat.Solver.Unsat | Sat.Solver.Unknown ->
+      Alcotest.fail "expected a correction"
+  | Sat.Solver.Solved Sat.Solver.Sat ->
       let sol = Encode.Muxed.solution inst in
       List.iteri
         (fun ti t ->
@@ -320,7 +322,8 @@ let test_muxed_export_dimacs () =
   let live = Sat.Solver.create () in
   let inst = Encode.Muxed.build ~max_k:1 live faulty2 tests2 in
   Alcotest.(check bool) "equisatisfiable" true
-    (Sat.Solver.solve s2 = Encode.Muxed.solve_at_most inst 1)
+    (Sat.Solver.Solved (Sat.Solver.solve s2)
+    = Encode.Muxed.solve_at_most inst 1)
 
 (* ---------- CNF identity ---------- *)
 
@@ -437,57 +440,10 @@ let prop_miter_counterexamples =
 
 (* ---------- twin ---------- *)
 
-(* brute-force oracle: the achievable output rows of [c] at [x] with the
-   gates of [sites] forced to every value combination *)
-let achievable c x sites =
-  let base = Sim.Simulator.eval c x in
-  let n = List.length sites in
-  let rows = ref [] in
-  for m = 0 to (1 lsl n) - 1 do
-    let forced = List.mapi (fun i g -> (g, m land (1 lsl i) <> 0)) sites in
-    let row =
-      Array.init
-        (Array.length c.C.outputs)
-        (fun o -> Sim.Event_sim.output_after c base forced o)
-    in
-    if not (List.mem row !rows) then rows := row :: !rows
-  done;
-  List.sort compare !rows
-
-let test_twin_vector_oracle () =
-  let faulty, _, _ = faulty_adder () in
-  let non_inputs =
-    Array.to_list faulty.C.topo
-    |> List.filter (fun g -> not (C.is_input faulty g))
-  in
-  let a = [ List.nth non_inputs 0 ] and b = [ List.nth non_inputs 1 ] in
-  let solver = Sat.Solver.create () in
-  let twin = Encode.Twin.build solver faulty ~a ~b in
-  let rec collect n acc =
-    if n = 0 then List.rev acc
-    else
-      match Encode.Twin.next_vector twin with
-      | Encode.Twin.Vector v -> collect (n - 1) (v :: acc)
-      | _ -> List.rev acc
-  in
-  let vs = collect 5 [] in
-  Alcotest.(check bool) "some separating vector" true (vs <> []);
-  let keys = List.map Array.to_list vs in
-  Alcotest.(check int) "vectors pairwise distinct" (List.length keys)
-    (List.length (List.sort_uniq compare keys));
-  List.iter
-    (fun v ->
-      (* the sides can disagree at v unless both achievable sets are the
-         same singleton *)
-      let ra = achievable faulty v a and rb = achievable faulty v b in
-      Alcotest.(check bool) "oracle confirms separability" true
-        (not (ra = rb && List.length ra = 1)))
-    vs
-
 (* x -> NOT g1 -> NOT g2: flipping g1 to BUF makes {g1} and {g2} equally
-   valid single-gate diagnoses that no measurement can ever split — the
-   weak twin still separates them (each freed gate spans both output
-   values), the directed twin proves them tied *)
+   valid single-gate diagnoses that no measurement can ever split, though
+   each freed gate spans both output values — the directed twin proves
+   them tied *)
 let notnot_pair () =
   let b = Netlist.Builder.create ~name:"notnot" in
   let x = Netlist.Builder.input b in
@@ -500,11 +456,6 @@ let notnot_pair () =
 
 let test_twin_directed_inseparable_chain () =
   let golden, faulty, g1, g2 = notnot_pair () in
-  let s0 = Sat.Solver.create () in
-  let weak = Encode.Twin.build s0 faulty ~a:[ g1 ] ~b:[ g2 ] in
-  (match Encode.Twin.next_vector weak with
-  | Encode.Twin.Vector _ -> ()
-  | _ -> Alcotest.fail "weak twin must find a separating vector");
   List.iter
     (fun (sv, vt) ->
       let s = Sat.Solver.create () in
@@ -563,26 +514,9 @@ let test_twin_directed_guaranteed_kill () =
 
 let test_twin_certified () =
   let golden, faulty, g1, g2 = notnot_pair () in
-  let s = Sat.Solver.create () in
-  let twin =
-    Encode.Twin.build ~certify:true ~golden s faulty ~a:[ g1 ] ~b:[ g2 ]
-  in
-  let rec drain () =
-    match Encode.Twin.next_vector twin with
-    | Encode.Twin.Vector _ -> drain ()
-    | Encode.Twin.Inseparable -> ()
-    | Encode.Twin.Unknown -> Alcotest.fail "no budget was given"
-  in
-  drain ();
-  (* both Sat answers (the two failing vectors) and the final Unsat were
-     independently verified *)
-  Alcotest.(check int) "weak twin checks" 3 (Encode.Twin.cert_checks twin);
-  Alcotest.(check (list string)) "no failures" []
-    (Encode.Twin.cert_failures twin);
-  let s2 = Sat.Solver.create () in
   let d =
-    Encode.Twin.build_directed ~certify:true ~golden s2 faulty
-      ~survivor:[ g1 ] ~victim:[ g2 ]
+    Encode.Twin.build_directed ~certify:true ~golden (Sat.Solver.create ())
+      faulty ~survivor:[ g1 ] ~victim:[ g2 ]
   in
   (match Encode.Twin.next_vector d with
   | Encode.Twin.Inseparable -> ()
@@ -598,9 +532,9 @@ let test_twin_rejects_invalid () =
   in
   Alcotest.(check bool) "input site rejected" true
     (rejects (fun () ->
-         Encode.Twin.build (Sat.Solver.create ()) faulty
-           ~a:[ faulty.C.inputs.(0) ]
-           ~b:[ g1 ]));
+         Encode.Twin.build_directed ~golden (Sat.Solver.create ()) faulty
+           ~survivor:[ faulty.C.inputs.(0) ]
+           ~victim:[ g1 ]));
   Alcotest.(check bool) "oversized victim rejected" true
     (rejects (fun () ->
          Encode.Twin.build_directed ~golden
@@ -610,9 +544,9 @@ let test_twin_rejects_invalid () =
   let wide = Netlist.Generators.parity_tree 4 in
   Alcotest.(check bool) "golden arity mismatch rejected" true
     (rejects (fun () ->
-         Encode.Twin.build ~golden:wide
+         Encode.Twin.build_directed ~golden:wide
            (Sat.Solver.create ())
-           faulty ~a:[ g1 ] ~b:[ g1 ]))
+           faulty ~survivor:[ g1 ] ~victim:[ g1 ]))
 
 let () =
   Alcotest.run "encode"
@@ -657,8 +591,6 @@ let () =
       ("miter", [ QCheck_alcotest.to_alcotest prop_miter_counterexamples ]);
       ( "twin",
         [
-          Alcotest.test_case "vectors vs brute-force oracle" `Quick
-            test_twin_vector_oracle;
           Alcotest.test_case "directed inseparable chain" `Quick
             test_twin_directed_inseparable_chain;
           Alcotest.test_case "directed guaranteed kill" `Quick

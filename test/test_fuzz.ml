@@ -331,7 +331,8 @@ let prop_guarded_mux_models =
       in
       let sat_with inst gates k =
         let extra = List.map (Encode.Muxed.select_lit inst) gates in
-        Encode.Muxed.solve_at_most ~extra inst k = Sat.Solver.Sat
+        Encode.Muxed.solve_at_most ~extra inst k
+        = Sat.Solver.Solved Sat.Solver.Sat
         && model_ok inst
       in
       let raises_not_found f =
@@ -364,8 +365,9 @@ let prop_guarded_mux_models =
                n = 0
                ||
                match Encode.Muxed.solve_at_most inst k with
-               | Sat.Solver.Unsat -> true
-               | Sat.Solver.Sat ->
+               | Sat.Solver.Solved Sat.Solver.Unsat -> true
+               | Sat.Solver.Unknown -> false
+               | Sat.Solver.Solved Sat.Solver.Sat ->
                    model_ok inst
                    && begin
                         Encode.Muxed.block inst (Encode.Muxed.solution inst);
