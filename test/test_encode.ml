@@ -580,7 +580,7 @@ let () =
             test_muxed_rejects_input_candidates;
           Alcotest.test_case "dimacs export" `Quick test_muxed_export_dimacs;
         ] );
-      ( "cnf identity",
+      ( "cnf digest",
         [
           Alcotest.test_case "flat instance" `Quick test_cnf_identity_flat;
           Alcotest.test_case "grouped instance" `Quick
