@@ -133,7 +133,7 @@ let cov e =
 let bsat e =
   listed e "BSAT"
     (Core.Bsat.diagnose ~max_solutions:e.max_solutions ?budget:e.budget
-       ?obs:e.obs ~certify:e.certify ~jobs:e.jobs ~k:e.k e.faulty e.tests)
+       ?obs:e.obs ~certify:e.certify ~k:e.k e.faulty e.tests)
 
 let advsim e =
   let r =
@@ -146,8 +146,7 @@ let advsim e =
 let advsat e =
   listed e "advanced-sat (2-pass)"
     (Core.Advanced_sat.diagnose_dominators ~max_solutions:e.max_solutions
-       ?budget:e.budget ?obs:e.obs ~certify:e.certify ~jobs:e.jobs ~k:e.k
-       e.faulty e.tests)
+       ?budget:e.budget ?obs:e.obs ~certify:e.certify ~k:e.k e.faulty e.tests)
       .Core.Advanced_sat.outcome
 
 let hybrid e =
@@ -191,7 +190,7 @@ let incremental e =
       e.tests
   in
   listed e "incremental"
-    (Core.Serve.Engine.run ?obs:e.obs ?budget:e.budget ~jobs:e.jobs
+    (Core.Serve.Engine.run ?obs:e.obs ?budget:e.budget
        ~max_solutions:e.max_solutions inc)
       .Core.Incremental.outcome
 
@@ -199,7 +198,7 @@ let hitting e =
   let r =
     Core.Hitting.diagnose ?heuristic:e.heuristic
       ~max_solutions:e.max_solutions ?budget:e.budget ?obs:e.obs
-      ~certify:e.certify ~jobs:e.jobs ~k:e.k e.faulty e.tests
+      ~certify:e.certify ~k:e.k e.faulty e.tests
   in
   let o = listed e "HITTING" r.Core.Hitting.outcome in
   Fmt.pr "cores=%d nodes=%d reused=%d pruned=%d@." r.Core.Hitting.cores
@@ -629,8 +628,9 @@ let int_at_least lo =
 let jobs =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for fault simulation and the SAT \
-                 portfolio (default 1 = sequential; the solution set is \
+           ~doc:"Worker domains for fault simulation, BSIM path \
+                 tracing, adaptive vector scoring and the server's \
+                 request batches (default 1 = sequential; the answer is \
                  identical at every value)")
 let errors = Arg.(value & opt int 1 & info [ "errors"; "p" ] ~doc:"Number of injected errors")
 

@@ -125,7 +125,7 @@ let diagnose ?(max_rounds = 32) ?(max_stall = 4) ?(vectors_per_pair = 4)
   let committed = ref 0 in
   let enumerations = ref [] in
   let enumerate () =
-    let r = Incremental.solutions ~max_solutions ?budget ~jobs inc in
+    let r = Incremental.solutions ~max_solutions ?budget inc in
     enumerations := r.Incremental.outcome :: !enumerations;
     r.Incremental.outcome
   in

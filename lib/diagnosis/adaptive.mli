@@ -111,9 +111,9 @@ val diagnose :
     queries; on exhaustion the loop stops with [Exhausted] and the
     survivors found so far — truncated but valid.
 
-    [jobs] parallelizes the survivor enumeration (the {!Incremental}
-    portfolio) and the per-vector scoring resimulation; twin queries and
-    vector selection run sequentially with deterministic tie-breaking
+    [jobs] parallelizes the per-vector scoring resimulation; the
+    survivor enumeration runs on the warm {!Incremental} context, and
+    twin queries and vector selection run sequentially with deterministic tie-breaking
     (score, then kill count, then generation order), so the committed
     test sequence, the rounds and the final solutions are identical at
     every width whenever no truncation occurs.

@@ -29,8 +29,7 @@ let finish obs prefix ~t0 ~solutions passes =
   in
   { outcome; pass1_solutions }
 
-let diagnose_dominators ?max_solutions ?budget ?obs ?certify ?jobs
-    ~k c tests =
+let diagnose_dominators ?max_solutions ?budget ?obs ?certify ~k c tests =
   let t0 = Obs.Clock.wall () in
   let dom = Dominators.compute c in
   let skeleton = Dominators.nontrivial dom in
@@ -40,8 +39,7 @@ let diagnose_dominators ?max_solutions ?budget ?obs ?certify ?jobs
     Telemetry.phase obs name
       ~payload:(fun r -> List.length r.Bsat.solutions)
       (fun () ->
-        Bsat.diagnose ~candidates ?max_solutions ?budget ?certify ?jobs ~k c
-          tests)
+        Bsat.diagnose ~candidates ?max_solutions ?budget ?certify ~k c tests)
   in
   let pass1 = pass "advsat/pass1" skeleton in
   (* refine: multiplexers at every implicated dominator and everything it
@@ -72,7 +70,7 @@ let chunks n xs =
   go [] [] 0 xs
 
 let diagnose_partitioned ?(slice = 8) ?max_solutions ?budget ?obs
-    ?certify ?jobs ~k c tests =
+    ?certify ~k c tests =
   let t0 = Obs.Clock.wall () in
   match chunks slice tests with
   | [] -> finish obs "advsat/partitioned" ~t0 ~solutions:[] []
@@ -83,8 +81,8 @@ let diagnose_partitioned ?(slice = 8) ?max_solutions ?budget ?obs
           Telemetry.phase obs "advsat/slice"
             ~payload:(fun r -> List.length r.Bsat.solutions)
             (fun () ->
-              Bsat.diagnose ?candidates ?max_solutions ?budget ?certify ?jobs
-                ~k c slice_tests)
+              Bsat.diagnose ?candidates ?max_solutions ?budget ?certify ~k c
+                slice_tests)
         in
         passes := r :: !passes;
         r

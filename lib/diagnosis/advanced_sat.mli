@@ -35,7 +35,6 @@ val diagnose_dominators :
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?certify:bool ->
-  ?jobs:int ->
   k:int ->
   Netlist.Circuit.t ->
   Sim.Testgen.test list ->
@@ -46,8 +45,7 @@ val diagnose_dominators :
     brackets the passes with
     ["advsat/pass1"]/["advsat/pass2"] [Begin]/[End] events ([End]
     payload = pass solution count).  [certify] verifies every underlying
-    solver answer ({!Bsat.diagnose}).  [jobs] runs every underlying BSAT
-    enumeration as a solver portfolio ({!Bsat.diagnose}). *)
+    solver answer ({!Bsat.diagnose}). *)
 
 val diagnose_partitioned :
   ?slice:int ->
@@ -55,7 +53,6 @@ val diagnose_partitioned :
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?certify:bool ->
-  ?jobs:int ->
   k:int ->
   Netlist.Circuit.t ->
   Sim.Testgen.test list ->

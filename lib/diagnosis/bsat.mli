@@ -12,15 +12,14 @@ type result = Outcome.t = {
   truncated : bool;
   solver_calls : int;
   stats : Sat.Solver.stats;
-  cert_checks : int;  (** in a portfolio, summed over the workers *)
+  cert_checks : int;
   cert_failures : string list;
   cnf_time : float;
   one_time : float;
   all_time : float;
 }
 (** The shared engine outcome ({!Outcome.t}), re-exported so its fields
-    resolve under [Bsat]; the times are wall-clock at every [jobs]
-    width. *)
+    resolve under [Bsat]; the times are wall-clock. *)
 
 type hints = {
   priority : (int * float) list;
@@ -50,7 +49,6 @@ val diagnose :
   ?obs:Obs.t ->
   ?obs_prefix:string ->
   ?certify:bool ->
-  ?jobs:int ->
   k:int ->
   Netlist.Circuit.t ->
   Sim.Testgen.test list ->
@@ -73,32 +71,11 @@ val diagnose :
     [Sat] answers by model evaluation, [Unsat] answers — each
     cardinality-level step and the final enumeration-exhausted step — by
     DRUP-checking the solver's proof.  Results land in [cert_checks] /
-    [cert_failures].  With [jobs > 1] each portfolio worker certifies
-    its own instance; the per-cube certificates compose because the
-    cubes partition the solution space.
+    [cert_failures].
 
-    [jobs] (default 1) enumerates with a portfolio of that many
-    independent solvers on their own domains: the solution space is
-    split into disjoint cubes over the first ⌈log2 jobs⌉ candidate
-    select lines, workers run {!Enumerate} on their cubes, charge one
-    shared (atomic) [budget], and the merged solution list — union,
-    filtered to inclusion-minimal sets, in canonical order — equals the
-    [jobs = 1] list exactly whenever the enumeration is not truncated.
-    [jobs = 1] is the same code with one worker and one empty cube.
-    Under truncation ([max_solutions] or budget exhaustion) the
-    portfolio still returns a sound subset of the essential solutions —
-    workers report the deepest cardinality level they enumerated to
-    completion and the merge keeps only solutions one above the
-    *minimum* such level, so a correction whose smaller dominator was
-    lost to the budget in another worker's cube can never slip through
-    — but which subset (possibly fewer solutions than the one-worker
-    run found, even none) depends on the parallel schedule.
-    [Minimize_single_pass] matches the one-worker caveat instead: a
-    shrink abandoned mid-way by the budget may leave a valid but
-    non-essential correction.  Solver counters ([stats], the [obs]
-    counters) are summed across workers and genuinely differ between
-    widths; worker event streams are merged into [obs] tagged with
-    their domain id (a single worker records into [obs] directly).
+    The enumeration runs on one incremental solver, as Figure 3 does.
+    [Minimize_single_pass] has one caveat under a budget: a shrink
+    abandoned mid-way may leave a valid but non-essential correction.
 
     [budget] is the only bound besides [max_solutions]: it caps total
     solver effort across the whole enumeration and is enforced *inside*

@@ -23,10 +23,9 @@ let irredundant solution sets =
 
 (* ---------- SAT engine (the paper's setup: covering solved by Zchaff) *)
 
-(* One worker's covering instance: variables over the sorted union,
-   one clause per candidate set, a cardinality counter.  Every worker of
-   a parallel enumeration builds an identical instance.  Returned with
-   its variables (the cube split) and its deepest level. *)
+(* The covering instance: variables over the sorted union, one clause
+   per candidate set, a cardinality counter.  Returned with its deepest
+   level. *)
 let cover_instance ~k sets =
   let union =
     Array.fold_left
@@ -76,40 +75,25 @@ let cover_instance ~k sets =
     let assumptions = extra @ Encode.Cardinality.bound_assumption counter i in
     Sat.Solver.solve_limited ~assumptions ~budget solver
   in
-  ({ Enumerate.solve; solution; block }, Array.map Lit.pos vars, bound)
+  ({ Enumerate.solve; solution; block }, bound)
 
-(* Fig. 3's level loop on the covering instance, over a cube partition
-   of the first union variables ({!Enumerate.cubes}); [jobs = 1] is one
-   worker with the one empty cube.  Irredundant covers of a monotone
-   covering problem form an antichain, so every recorded core is
-   globally irredundant wherever it is found, and the deduplicated
-   union over cubes is exactly the one-cube solution set. *)
-let enumerate_sat ~jobs ~max_solutions ~budget ~k sets =
+(* Fig. 3's level loop on the covering instance *)
+let enumerate_sat ~max_solutions ~budget ~k sets =
   if covers [] sets then
     (* no sets to hit (m = 0): the empty cover is the unique irredundant
        solution, exactly as the backtrack engine reports it *)
     ([ [] ], 0.0, 0.0, false)
   else begin
     let start = Obs.Clock.wall () in
-    let found = Atomic.make 0 in
+    let inst, bound = cover_instance ~k sets in
     let r =
-      Par.run ~jobs (fun w ->
-          let inst, split, bound = cover_instance ~k sets in
-          Enumerate.cubes ~jobs ~worker:w split
-          |> List.map (fun extra ->
-                 Enumerate.levels ~extra ~found ~max_solutions ~budget
-                   ~k:bound inst)
-          |> Enumerate.concat ~k:bound)
-      |> Array.to_list |> Enumerate.concat ~k
+      Enumerate.levels ~found:(ref 0) ~max_solutions ~budget ~k:bound inst
     in
-    let merged = Solutions.canonical r.Enumerate.found in
-    let over = List.length merged > max_solutions in
     let first = r.Enumerate.first_at in
-    ( (if over then List.filteri (fun i _ -> i < max_solutions) merged
-       else merged),
+    ( Solutions.canonical r.Enumerate.found,
       (if Float.is_finite first then first -. start else 0.0),
       Obs.Clock.wall () -. start,
-      over || r.Enumerate.truncated )
+      r.Enumerate.truncated )
   end
 
 (* ---------- branch-and-bound oracle ---------- *)
@@ -159,30 +143,28 @@ let enumerate_backtrack ~max_solutions ~budget ~k sets =
   (Solutions.canonical !solutions, !one_time, Obs.Clock.wall () -. start,
    !truncated)
 
-let run_engine ~engine ~jobs ~max_solutions ~budget ~k sets =
+let run_engine ~engine ~max_solutions ~budget ~k sets =
   match engine with
-  | Sat_engine -> enumerate_sat ~jobs ~max_solutions ~budget ~k sets
+  | Sat_engine -> enumerate_sat ~max_solutions ~budget ~k sets
   | Backtrack_engine -> enumerate_backtrack ~max_solutions ~budget ~k sets
 
 let enumerate ?(engine = Sat_engine) ?(max_solutions = max_int)
-    ?(budget = Sat.Budget.unlimited ()) ?(jobs = 1) ~k sets =
-  let jobs = Par.clamp_jobs jobs in
+    ?(budget = Sat.Budget.unlimited ()) ~k sets =
   let solutions, _, _, truncated =
-    run_engine ~engine ~jobs ~max_solutions ~budget ~k sets
+    run_engine ~engine ~max_solutions ~budget ~k sets
   in
   (solutions, truncated)
 
 let diagnose ?(engine = Sat_engine) ?tie_break ?(max_solutions = max_int)
-    ?(budget = Sat.Budget.unlimited ()) ?obs ?(jobs = 1) ~k c tests =
-  let jobs = Par.clamp_jobs jobs in
+    ?(budget = Sat.Budget.unlimited ()) ?obs ?jobs ~k c tests =
   let t0 = Obs.Clock.wall () in
-  let bsim = Bsim.diagnose ?tie_break ?obs ~jobs c tests in
+  let bsim = Bsim.diagnose ?tie_break ?obs ?jobs c tests in
   let sets = bsim.Bsim.candidate_sets in
   let cnf_time = Obs.Clock.wall () -. t0 in
   let solutions, one_time, all_time, truncated =
     Telemetry.phase obs "cov/enumerate"
       ~payload:(fun (sols, _, _, _) -> List.length sols)
-      (fun () -> run_engine ~engine ~jobs ~max_solutions ~budget ~k sets)
+      (fun () -> run_engine ~engine ~max_solutions ~budget ~k sets)
   in
   (match obs with
   | None -> ()

@@ -47,14 +47,10 @@ val diagnose :
     {!Sat.Budget.exhausted} at every search node.  On exhaustion the
     result is [truncated] and holds the covers found so far.
 
-    [jobs] (default 1) parallelizes both the path tracing and the SAT
-    covering enumeration (cube partition over the first union
-    variables; [jobs = 1] is the one-cube case).  Irredundant covers
-    form an antichain, so the merged, deduplicated union over cubes is
-    exactly the one-cube solution set; because every [obs] datum of the covering stage is derived from
-    the final canonical solution list, the whole stats block is
-    bit-identical to [jobs = 1] whenever the enumeration is not
-    truncated.  The backtrack oracle engine always runs sequentially. *)
+    [jobs] (default 1) traces the tests on that many domains
+    ({!Bsim.diagnose}); the covering enumeration runs on one solver, so
+    the result and the whole stats block are the same at every [jobs].
+    *)
 
 val covers : int list -> int list array -> bool
 (** [covers solution sets] — does the solution hit every set? *)
@@ -63,7 +59,6 @@ val enumerate :
   ?engine:engine ->
   ?max_solutions:int ->
   ?budget:Sat.Budget.t ->
-  ?jobs:int ->
   k:int ->
   int list array ->
   int list list * bool

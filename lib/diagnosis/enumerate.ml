@@ -1,7 +1,6 @@
 type run = {
   found : int list list;
   calls : int;
-  completed : int;
   truncated : bool;
   first_at : float;
 }
@@ -23,53 +22,30 @@ let muxed ?unless inst =
     block = Encode.Muxed.block ?unless inst;
   }
 
-let cubes ~jobs ~worker split =
-  let l =
-    let rec fit l = if 1 lsl l >= jobs then l else fit (l + 1) in
-    min (fit 0) (Array.length split)
-  in
-  List.init (1 lsl l) Fun.id
-  |> List.filter (fun j -> j mod jobs = worker)
-  |> List.map (fun j ->
-         List.init l (fun i ->
-             if j land (1 lsl i) <> 0 then split.(i)
-             else Sat.Lit.negate split.(i)))
-
-let concat ~k runs =
-  {
-    found = List.concat_map (fun r -> r.found) runs;
-    calls = List.fold_left (fun acc r -> acc + r.calls) 0 runs;
-    completed = List.fold_left (fun acc r -> min acc r.completed) k runs;
-    truncated = List.exists (fun r -> r.truncated) runs;
-    first_at =
-      List.fold_left (fun acc r -> Float.min acc r.first_at) infinity runs;
-  }
-
 (* Fig. 3's loop: [minimise] turns each model's solution into the set
    recorded and blocked; [None] ends the run as truncated *)
 let run_levels ~extra ~first ~minimise ~found ~max_solutions ~budget ~k inst =
   let sols = ref [] and calls = ref 0 and first_at = ref infinity in
   let count () = incr calls in
-  let finish completed truncated =
-    { found = List.rev !sols; calls = !calls; completed; truncated;
-      first_at = !first_at }
+  let finish truncated =
+    { found = List.rev !sols; calls = !calls; truncated; first_at = !first_at }
   in
   let rec level i =
-    if i > k then finish k false
-    else if Atomic.get found >= max_solutions || Sat.Budget.exhausted budget
-    then finish (i - 1) true
+    if i > k then finish false
+    else if !found >= max_solutions || Sat.Budget.exhausted budget then
+      finish true
     else begin
       count ();
       match inst.solve ~budget ~extra i with
       | Sat.Solver.Solved Sat.Solver.Unsat -> level (i + 1)
-      | Sat.Solver.Unknown -> finish (i - 1) true
+      | Sat.Solver.Unknown -> finish true
       | Sat.Solver.Solved Sat.Solver.Sat -> (
           match minimise ~count (inst.solution ()) with
-          | None -> finish (i - 1) true
+          | None -> finish true
           | Some sol ->
               if !sols = [] then first_at := Obs.Clock.wall ();
               sols := sol :: !sols;
-              Atomic.incr found;
+              incr found;
               inst.block sol;
               level i)
     end

@@ -3,23 +3,21 @@
     {!levels} is BasicSATDiagnose (paper Figure 3): the cardinality
     limit is raised level by level and every solution is blocked before
     the next call, so the found sets are exactly the essential
-    solutions of the instance (Lemmas 1 and 3).  {!Bsat} runs it once
-    per portfolio cube, {!Incremental} under an activation guard,
+    solutions of the instance (Lemmas 1 and 3).  {!Bsat} runs it on one
+    solver, {!Incremental} under an activation guard,
     {!Seq_diag} on the unrolled machine and {!Cover} on the covering
     instance; {!single_pass} adds the in-instance {!shrink} of a
     correction ({!Bsat}, {!Hitting}; {!Hybrid} shrinks its repair with
     it).
 
-    Every loop stops before a solver call once the shared [found]
-    counter reaches [max_solutions] or [budget] is exhausted, and after
+    Every loop stops before a solver call once the [found] counter
+    reaches [max_solutions] or [budget] is exhausted, and after
     a call the budget cut short; either way the run is truncated and
     every found set is still a solution. *)
 
 type run = {
   found : int list list;  (** in discovery order *)
   calls : int;  (** solver calls, shrink steps included *)
-  completed : int;
-      (** deepest level enumerated to [Unsat] ([first - 1] when none) *)
   truncated : bool;
   first_at : float;
       (** {!Obs.Clock.wall} time of the first solution, [infinity] when
@@ -40,28 +38,18 @@ val muxed : ?unless:Sat.Lit.t -> Encode.Muxed.t -> instance
 (** The diagnosis instance; blocking clauses carry the activation guard
     [unless] ({!Encode.Muxed.block}). *)
 
-val cubes : jobs:int -> worker:int -> Sat.Lit.t array -> Sat.Lit.t list list
-(** The portfolio partition: the first L = ⌈log2 jobs⌉ [split] literals
-    (fewer when there are fewer) take each of their 2^L sign patterns,
-    and cube [j] belongs to worker [j mod jobs].  Returns the cubes of
-    [worker] in increasing [j]; [jobs = 1] owns the one empty cube. *)
-
-val concat : k:int -> run list -> run
-(** Several runs as one: found sets and calls added up, the shallowest
-    [completed] (at most [k]), the earliest [first_at]. *)
-
 val levels :
   ?extra:Sat.Lit.t list ->
   ?first:int ->
-  found:int Atomic.t ->
+  found:int ref ->
   max_solutions:int ->
   budget:Sat.Budget.t ->
   k:int ->
   instance ->
   run
-(** Levels [first] (default 1) to [k] under [extra] assumptions (a
-    portfolio cube, an activation literal); [found] may be shared with
-    other domains. *)
+(** Levels [first] (default 1) to [k] under [extra] assumptions (an
+    activation literal); [found] counts every recorded solution, so a
+    caller can start it at the solutions it already holds. *)
 
 val shrink :
   budget:Sat.Budget.t ->
@@ -80,7 +68,7 @@ val shrink :
 val single_pass :
   ?extra:Sat.Lit.t list ->
   ?keep_cut:bool ->
-  found:int Atomic.t ->
+  found:int ref ->
   max_solutions:int ->
   budget:Sat.Budget.t ->
   k:int ->

@@ -18,10 +18,10 @@
 
     On an unbudgeted run the recorded set is exactly the minimal
     diagnoses of size [<= k] — byte-identical, after
-    {!Solutions.canonical}, to {!Bsat.diagnose}'s essential solutions —
-    at every [jobs] width.  Every recorded diagnosis is globally
-    inclusion-minimal at the moment it is recorded, so a truncated run
-    returns a subset of the full minimal set. *)
+    {!Solutions.canonical}, to {!Bsat.diagnose}'s essential solutions.
+    Every recorded diagnosis is globally inclusion-minimal at the moment
+    it is recorded, so a truncated run returns a subset of the full
+    minimal set. *)
 
 type heuristic =
   | Bfs  (** expand open nodes in (depth, creation) order: minimal
@@ -34,8 +34,8 @@ type heuristic =
 type result = {
   outcome : Outcome.t;
       (** canonical minimal diagnoses ([one_time]: time to the first
-          recorded one), counters and certificates summed over the
-          worker solvers *)
+          recorded one), counters and certificates of the one solver
+          that checks every node *)
   cores : int;        (** conflict sets extracted from unsat cores *)
   reused : int;       (** node labels served from known conflict sets *)
   nodes : int;        (** HSDAG nodes checked with a solver call *)
@@ -49,7 +49,6 @@ val diagnose :
   ?budget:Sat.Budget.t ->
   ?obs:Obs.t ->
   ?certify:bool ->
-  ?jobs:int ->
   k:int ->
   Netlist.Circuit.t ->
   Sim.Testgen.test list ->
@@ -64,11 +63,9 @@ val diagnose :
     is a subset of the full run's.  A diagnosis whose minimization was
     cut off mid-shrink is discarded rather than returned non-minimal.
 
-    [jobs > 1] checks open nodes in parallel rounds over {!Par}, one
-    solver and encoding per worker domain, with a deterministic
-    round-robin assignment and an ordered merge; the solution set is
-    identical at every width.  [certify] independently verifies every
-    solver answer behind every node check and shrink step ({!Encode.Muxed}
+    One solver and encoding check the nodes one at a time, in
+    expansion order.  [certify] independently verifies every solver
+    answer behind every node check and shrink step ({!Encode.Muxed}
     certification: models by evaluation, cores by DRUP).
 
     [obs] records the engine contract's telemetry under

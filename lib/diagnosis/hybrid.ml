@@ -16,10 +16,10 @@ let guided ?max_solutions ?budget ?obs ?jobs ~k c tests =
   let plain_budget = Option.map Sat.Budget.clone budget in
   let plain =
     Bsat.diagnose ?max_solutions ?budget:plain_budget ?obs
-      ?jobs ~obs_prefix:"hybrid/plain" ~k c tests
+      ~obs_prefix:"hybrid/plain" ~k c tests
   in
   let guided =
-    Bsat.diagnose ~hints ?max_solutions ?budget ?obs ?jobs
+    Bsat.diagnose ~hints ?max_solutions ?budget ?obs
       ~obs_prefix:"hybrid/guided" ~k c tests
   in
   { plain; guided }

@@ -34,7 +34,8 @@ val guided :
     [budget] caps the guided run; the plain run burns a
     {!Sat.Budget.clone} so both comparands get the same allowance.
     [obs] records the two runs under ["hybrid/plain/..."] and
-    ["hybrid/guided/..."]. *)
+    ["hybrid/guided/..."].  [jobs] widens the BSIM pass only
+    ({!Bsim.diagnose}); both BSAT runs use one solver each. *)
 
 val cov_seed :
   ?budget:Sat.Budget.t ->

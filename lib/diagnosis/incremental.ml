@@ -110,7 +110,7 @@ let solutions_live ~max_solutions ~budget ~survivors ~first t inst =
   List.iter (Encode.Muxed.block ~unless:active inst) survivors;
   let r =
     Enumerate.levels ~extra:[ active ] ~first
-      ~found:(Atomic.make (List.length survivors))
+      ~found:(ref (List.length survivors))
       ~max_solutions ~budget ~k:t.k
       (Enumerate.muxed ~unless:active inst)
   in
@@ -148,9 +148,8 @@ let cert_failures t =
   Option.fold ~none:[] ~some:Encode.Muxed.cert_failures t.inst
 
 let solutions ?(max_solutions = max_int) ?(budget = Sat.Budget.unlimited ())
-    ?(jobs = 1) t =
+    t =
   check_live t ~what:"solutions";
-  let jobs = Par.clamp_jobs jobs in
   let t0 = Obs.Clock.wall () in
   let st0 = Sat.Solver.stats t.solver in
   let checks0 = cert_checks t in
@@ -172,14 +171,6 @@ let solutions ?(max_solutions = max_int) ?(budget = Sat.Budget.unlimited ())
              is then the whole carried set *)
           assert (survivors = []);
           search (fun () -> solutions_sim ~max_solutions ~budget t)
-      | Some _ when jobs > 1 ->
-          (* the live solver cannot be shared across domains: the
-             portfolio solves the accumulated workload on fresh per-worker
-             instances and leaves the live instance untouched — the
-             enumerated set is the same, the learned-clause reuse is not *)
-          ( Bsat.diagnose ~max_solutions ~budget ~certify:t.certify ~jobs
-              ~k:t.k t.circuit t.tests,
-            0 )
       | Some inst ->
           search (fun () ->
               solutions_live ~max_solutions ~budget ~survivors ~first t inst)

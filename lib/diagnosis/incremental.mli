@@ -30,9 +30,8 @@ type t
 type result = {
   outcome : Outcome.t;
       (** this call's answer and effort: [stats] is the live solver's
-          counter delta over the call ([learned] is the gauge, as-is) —
-          all zero under the [jobs > 1] portfolio, which bypasses the
-          live solver — and [solver_calls], [cert_checks] and
+          counter delta over the call ([learned] is the gauge, as-is),
+          and [solver_calls], [cert_checks] and
           [cert_failures] are this call's own; [all_time] is the call's
           wall time, the other times 0 on the live instance *)
   reused : int;
@@ -101,7 +100,7 @@ val fail_next_add_tests : after:int -> unit
 val num_tests : t -> int
 
 val solutions :
-  ?max_solutions:int -> ?budget:Sat.Budget.t -> ?jobs:int -> t -> result
+  ?max_solutions:int -> ?budget:Sat.Budget.t -> t -> result
 (** Enumerate the essential valid corrections for the *current* test
     set (Fig. 3's incremental-k loop on the live instance), in canonical
     (cardinality, lexicographic) order.
@@ -129,17 +128,7 @@ val solutions :
     enumeration length; when either cuts the run short the prefix found
     so far is returned, flagged [truncated] (consistent with
     {!Bsat.diagnose}).  The instance stays usable — blocking clauses
-    for the returned solutions are retired as usual.
-
-    [jobs] > 1 enumerates the same solution set with a solver portfolio
-    ({!Bsat.diagnose}) over fresh per-worker instances built from the
-    accumulated workload: a live solver cannot be shared across domains,
-    so the parallel path trades the learned-clause reuse for the
-    portfolio.  The live instance (and {!stats}) is untouched.  A
-    carried answer that settles the request without search (a repeat,
-    or growth where no carried correction that failed is smaller than
-    [k]), and an uncertified [k = 1] context, answer without the
-    portfolio. *)
+    for the returned solutions are retired as usual. *)
 
 val stats : t -> Sat.Solver.stats
 (** The live solver's lifetime counters ({!Sat.Solver.zero_stats} in an

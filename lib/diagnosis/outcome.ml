@@ -24,21 +24,18 @@ let empty =
   }
 
 let sum runs =
-  let add a r =
-    {
-      solutions = a.solutions @ r.solutions;
-      truncated = a.truncated || r.truncated;
-      solver_calls = a.solver_calls + r.solver_calls;
-      stats = Sat.Solver.add_stats a.stats r.stats;
-      cert_checks = a.cert_checks + r.cert_checks;
-      cert_failures = a.cert_failures @ r.cert_failures;
-      cnf_time = Float.max a.cnf_time r.cnf_time;
-      one_time = Float.min a.one_time r.one_time;
-      all_time = Float.max a.all_time r.all_time;
-    }
-  in
-  let s = List.fold_left add { empty with one_time = infinity } runs in
-  if Float.is_finite s.one_time then s else { s with one_time = 0.0 }
+  List.fold_left
+    (fun a r ->
+      {
+        a with
+        solutions = a.solutions @ r.solutions;
+        truncated = a.truncated || r.truncated;
+        solver_calls = a.solver_calls + r.solver_calls;
+        stats = Sat.Solver.add_stats a.stats r.stats;
+        cert_checks = a.cert_checks + r.cert_checks;
+        cert_failures = a.cert_failures @ r.cert_failures;
+      })
+    empty runs
 
 let record obs ~prefix o =
   let name field = prefix ^ "/" ^ field in

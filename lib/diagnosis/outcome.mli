@@ -37,10 +37,8 @@ val empty : t
 val sum : t list -> t
 (** The runs of one request taken together: solutions concatenated in
     order, [truncated] if any run was, calls, counters and certificates
-    added up.  Times are those of runs side by side (a portfolio's
-    workers): the latest [cnf_time] and [all_time], the earliest finite
-    [one_time] (0 when none is).  An engine whose runs follow one another
-    sets the times of the sum itself. *)
+    added up.  The times are 0: the runs follow one another, so the
+    engine that sums them sets the times of the whole itself. *)
 
 val record : Obs.t -> prefix:string -> t -> unit
 (** Record the outcome under ["<prefix>/..."]: the solver counters

@@ -55,7 +55,7 @@ let diagnose_bsat ?(max_solutions = max_int)
   let start = Obs.Clock.wall () in
   (* group representatives are the frame-0 copies = core ids *)
   let r =
-    Enumerate.levels ~found:(Atomic.make 0) ~max_solutions ~budget ~k
+    Enumerate.levels ~found:(ref 0) ~max_solutions ~budget ~k
       (Enumerate.muxed inst)
   in
   let outcome =

@@ -2,9 +2,9 @@
 
     Every engine that enumerates corrections or covers returns its
     solutions in this one canonical order, so that differently-scheduled
-    enumerations of the same solution *set* — sequential discovery
-    order, a solver portfolio's per-cube shards — print and compare
-    byte-identically. *)
+    enumerations of the same solution *set* — BSAT's level-by-level
+    discovery order, the hitting-set engine's expansion order — print
+    and compare byte-identically. *)
 
 val compare_solution : int list -> int list -> int
 (** Order solutions by cardinality first, then lexicographically by

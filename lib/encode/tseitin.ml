@@ -63,15 +63,6 @@ let encode (e : Emit.t) (c : Circuit.t) =
     c.Circuit.topo;
   vars
 
-let encode_with_inputs (e : Emit.t) c vector =
-  if Array.length vector <> Circuit.num_inputs c then
-    invalid_arg "Tseitin.encode_with_inputs: vector length";
-  let vars = encode e c in
-  Array.iteri
-    (fun i g -> e.Emit.clause [ Lit.make vars.(g) vector.(i) ])
-    c.Circuit.inputs;
-  vars
-
 type role = Plain | Guarded of Lit.t | Free
 
 let copy (e : Emit.t) (c : Circuit.t) ~inputs role =

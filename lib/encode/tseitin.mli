@@ -12,10 +12,6 @@ val gate_clauses :
 val encode : Emit.t -> Netlist.Circuit.t -> int array
 (** Encode the whole circuit; returns the gate-id -> variable map. *)
 
-val encode_with_inputs :
-  Emit.t -> Netlist.Circuit.t -> bool array -> int array
-(** Same, plus unit clauses pinning the primary inputs to a vector. *)
-
 (** How {!copy} encodes one logic gate. *)
 type role =
   | Plain  (** [y = kind(fanins)] *)

@@ -761,49 +761,6 @@ let reset t =
   Hashtbl.reset t.hists_tbl;
   Trace.clear t.tr
 
-let merge_children ~into children =
-  Array.iter
-    (fun child ->
-      List.iter (fun (name, v) -> add into name v) (counters child);
-      List.iter
-        (fun (name, seconds, calls) ->
-          let s = span_cell into name in
-          s.seconds <- s.seconds +. seconds;
-          s.calls <- s.calls + calls)
-        (spans child);
-      List.iter
-        (fun (name, h) -> Histogram.merge_into ~into:(histogram into name) h)
-        (histograms child))
-    children;
-  (* Deterministic interleave: ascending child tick, ties broken by
-     worker index — independent of which domain finished first. *)
-  let streams =
-    Array.mapi
-      (fun w child -> Array.of_list (Trace.events (trace child)), w)
-      children
-  in
-  let cursors = Array.make (Array.length streams) 0 in
-  let rec drain () =
-    let best = ref None in
-    Array.iteri
-      (fun i (evs, w) ->
-        if cursors.(i) < Array.length evs then
-          let e = evs.(cursors.(i)) in
-          let better =
-            match !best with None -> true | Some (_, be, _) -> e.tick < be.tick
-          in
-          if better then best := Some (i, e, w))
-      streams;
-    match !best with
-    | None -> ()
-    | Some (i, e, w) ->
-        cursors.(i) <- cursors.(i) + 1;
-        Trace.push into.tr
-          { e with tick = Trace.emitted into.tr; domain = w + 1 };
-        drain ()
-  in
-  drain ()
-
 let histogram_json h =
   Json.Obj
     [

@@ -63,8 +63,8 @@ type event = {
   payload : int;  (** engine-specific deterministic datum (solution
                       count, test count, ...); 0 when unused *)
   domain : int;  (** 0 for events emitted directly into this registry;
-                     [w + 1] for events merged from worker [w]'s
-                     registry by {!merge_children} *)
+                     the worker-domain tag given to {!inject} or
+                     {!absorb} otherwise *)
   wall : float;  (** {!Clock.wall} at emission; excluded from
                      deterministic output *)
 }
@@ -355,18 +355,6 @@ val reset : t -> unit
     {!histogram}, …) are detached — updates through them are no longer
     visible; re-acquire handles (and re-attach any solver hooks, e.g.
     [Sat.Solver.attach_obs]) after resetting. *)
-
-val merge_children : into:t -> t array -> unit
-(** Merge worker registries into a parent after a parallel section:
-    counters are summed, spans accumulated, histograms merged
-    element-wise, and the workers' event streams appended to the
-    parent's trace in a deterministic interleave — ascending original
-    tick, ties broken by worker index — so the merged stream depends
-    only on what each worker recorded, never on which domain finished
-    first.  Merged events are re-ticked by the parent trace and tagged
-    with [domain = w + 1] for worker [w] ({!Trace.to_chrome_json} maps
-    the tag to the Chrome [tid], giving each worker its own track).
-    The children are not modified. *)
 
 val to_json : ?times:bool -> t -> Json.t
 (** [{ "counters": {...}, "histograms": {...}, "events": {...},

@@ -146,8 +146,8 @@ val map2_stats : (int -> int -> int) -> stats -> stats -> stats
 (** Combine two counter snapshots field by field. *)
 
 val add_stats : stats -> stats -> stats
-(** Field-wise sum, for effort spread over several solvers (portfolio
-    workers, hitting-set workers); [learned] sums the gauges. *)
+(** Field-wise sum, for effort spread over several solver runs (an
+    engine's passes); [learned] sums the gauges. *)
 
 val stats_fields : stats -> (string * int) list
 (** Every counter under its field name, in declaration order. *)

@@ -1,7 +1,7 @@
-let run ?obs ?budget ?(jobs = 1) ~max_solutions inc =
+let run ?obs ?budget ~max_solutions inc =
   Diagnosis.Incremental.attach inc obs;
   let budget = Option.map Sat.Budget.renewed budget in
-  let r = Diagnosis.Incremental.solutions ~max_solutions ?budget ~jobs inc in
+  let r = Diagnosis.Incremental.solutions ~max_solutions ?budget inc in
   let o = r.Diagnosis.Incremental.outcome in
   Option.iter
     (fun obs ->

@@ -7,7 +7,6 @@
 val run :
   ?obs:Obs.t ->
   ?budget:Sat.Budget.t ->
-  ?jobs:int ->
   max_solutions:int ->
   Diagnosis.Incremental.t ->
   Diagnosis.Incremental.result
@@ -33,9 +32,5 @@ val run :
 
     [budget] is re-anchored at call time ({!Sat.Budget.renewed}): a
     budget created when the request was enqueued does not charge queue
-    wait against solve time.
-
-    [jobs] > 1 uses the solver portfolio
-    ({!Diagnosis.Incremental.solutions}) — the live solver is bypassed,
-    so the solver-counter deltas are zero; the server always
-    runs requests at [jobs = 1], parallelism lives across requests. *)
+    wait against solve time.  Every request runs on the context's one
+    live solver; the server's parallelism lives across requests. *)

@@ -22,8 +22,8 @@ let workload seed p =
   (golden, faulty, errors, tests)
 
 (* one incremental call's outcome *)
-let inc_solve ?max_solutions ?budget ?jobs inc =
-  (Diagnosis.Incremental.solutions ?max_solutions ?budget ?jobs inc)
+let inc_solve ?max_solutions ?budget inc =
+  (Diagnosis.Incremental.solutions ?max_solutions ?budget inc)
     .Diagnosis.Incremental.outcome
 
 let workload_gen =
@@ -664,7 +664,6 @@ let test_zero_budget_every_engine () =
     let (o : Diagnosis.Outcome.t) = run (budget ()) in
     outcome ?valid ~calls:o.solver_calls o.truncated o.solutions
   in
-  let bsat jobs budget = Diagnosis.Bsat.diagnose ~budget ~jobs ~k faulty tests in
   let cover engine () =
     let r =
       Diagnosis.Cover.diagnose ~engine ~budget:(budget ()) ~k faulty tests
@@ -692,8 +691,7 @@ let test_zero_budget_every_engine () =
         o.solutions;
       Option.iter (Alcotest.(check int) (name ^ ": no solver call") 0) o.calls)
     [
-      ("bsat jobs 1", sat (bsat 1));
-      ("bsat jobs 4", sat (bsat 4));
+      ("bsat", sat (fun budget -> Diagnosis.Bsat.diagnose ~budget ~k faulty tests));
       ( "incremental",
         sat (fun budget ->
             inc_solve ~budget (Diagnosis.Incremental.create ~k faulty tests)) );
@@ -1087,15 +1085,11 @@ let prop_incremental_carry_differential =
     (QCheck.make
        ~print:(fun ((seed, p), reqs) ->
          Printf.sprintf "seed=%d p=%d [%s]" seed p
-           (String.concat "; "
-              (List.map
-                 (fun (r, jobs) -> Printf.sprintf "%s@%d" (show_request r) jobs)
-                 reqs)))
+           (String.concat "; " (List.map show_request reqs)))
        QCheck.Gen.(
          pair
            (pair (int_range 0 5000) (int_range 1 2))
-           (list_size (int_range 1 8)
-              (pair request_gen (oneofl [ 1; 4 ])))))
+           (list_size (int_range 1 8) request_gen)))
     (fun ((seed, p), reqs) ->
       let _, faulty, _, tests = workload seed p in
       QCheck.assume (List.length tests >= 3);
@@ -1103,7 +1097,7 @@ let prop_incremental_carry_differential =
       let prefix () = List.filteri (fun i _ -> i < !have) tests in
       let inc = ref (Diagnosis.Incremental.create ~k:p faulty (prefix ())) in
       List.for_all
-        (fun (r, jobs) ->
+        (fun r ->
           let max_solutions, budget =
             match r with
             | Capped c -> (c, None)
@@ -1122,7 +1116,7 @@ let prop_incremental_carry_differential =
               inc := Diagnosis.Incremental.create ~k:p faulty (prefix ())
           | Repeat | Capped _ | Budget0 -> ());
           let { Diagnosis.Outcome.solutions = got; truncated; _ } =
-            inc_solve ~max_solutions ?budget ~jobs !inc
+            inc_solve ~max_solutions ?budget !inc
           in
           let full =
             (Diagnosis.Bsat.diagnose ~k:p faulty (prefix ()))
@@ -1144,7 +1138,7 @@ let prop_incremental_carry_differential =
 let test_incremental_certified () =
   (* the certified live instance keeps verifying across add_tests (the
      checker sees later clauses and retired guards through the same emit
-     hook) and across a portfolio run, with the same solutions *)
+     hook), with the same solutions *)
   let _, faulty, _, tests = workload 42 1 in
   let n = List.length tests in
   let part lo hi = List.filteri (fun i _ -> i >= lo && i < hi) tests in
@@ -1155,8 +1149,8 @@ let test_incremental_certified () =
   let inc = Diagnosis.Incremental.create ~certify:true ~k:1 faulty first in
   (* each context's per-call outcomes, summed over its lifetime *)
   let calls = ref [] and plain_calls = ref [] in
-  let run ?jobs i =
-    let o = inc_solve ?jobs i in
+  let run i =
+    let o = inc_solve i in
     let log = if i == plain then plain_calls else calls in
     log := o :: !log;
     List.sort compare o.solutions
@@ -1169,18 +1163,100 @@ let test_incremental_certified () =
     "certified = plain after add_tests" (run plain) (run inc);
   let live_checks = (lifetime calls).cert_checks in
   Alcotest.(check bool) "live answers verified" true (live_checks > 0);
-  (* growth in a certified context is always re-solved, here by the
-     portfolio *)
+  (* growth in a certified context is always re-solved *)
   Diagnosis.Incremental.add_tests plain third;
   Diagnosis.Incremental.add_tests inc third;
-  let par = run ~jobs:2 inc in
-  Alcotest.(check (list (list int))) "portfolio agrees" (run plain) par;
-  Alcotest.(check bool) "portfolio answers verified" true
+  let grown = run inc in
+  Alcotest.(check (list (list int))) "re-solved growth agrees" (run plain) grown;
+  Alcotest.(check bool) "re-solved answers verified" true
     ((lifetime calls).cert_checks > live_checks);
   Alcotest.(check (list string)) "no failures" []
     (lifetime calls).cert_failures;
   Alcotest.(check int) "plain instance never checks" 0
     (lifetime plain_calls).cert_checks
+
+(* ---------- solution cap and budget ---------- *)
+
+(* every enumerating engine, read through the one outcome record: a run
+   under an optional budget and a solution cap *)
+type capped_run = ?budget:Sat.Budget.t -> int -> Diagnosis.Outcome.t
+
+let enumerating_engines ~k faulty tests : (string * capped_run) list =
+  let hitting heuristic ?budget max_solutions =
+    (Diagnosis.Hitting.diagnose ~heuristic ?budget ~max_solutions ~k faulty
+       tests)
+      .outcome
+  in
+  [
+    ( "bsat",
+      fun ?budget max_solutions ->
+        Diagnosis.Bsat.diagnose ?budget ~max_solutions ~k faulty tests );
+    ("hitting bfs", hitting Diagnosis.Hitting.Bfs);
+    ("hitting greedy", hitting Diagnosis.Hitting.Greedy);
+    ( "cover",
+      fun ?budget max_solutions ->
+        let r =
+          Diagnosis.Cover.diagnose ?budget ~max_solutions ~k faulty tests
+        in
+        {
+          Diagnosis.Outcome.empty with
+          solutions = r.solutions;
+          truncated = r.truncated;
+        } );
+    ( "incremental",
+      fun ?budget max_solutions ->
+        inc_solve ?budget ~max_solutions
+          (Diagnosis.Incremental.create ~k faulty tests) );
+    ( "advsat",
+      fun ?budget max_solutions ->
+        (Diagnosis.Advanced_sat.diagnose_dominators ?budget ~max_solutions ~k
+           faulty tests)
+          .outcome );
+  ]
+
+(* Every enumerating engine honours its solution cap: under a cap c
+   below the uncapped count it returns at most c solutions, flags the
+   run truncated, and returns only solutions of the uncapped run *)
+let prop_cap_honoured =
+  QCheck.Test.make ~count:10
+    ~name:"cap: at most c solutions, truncated, all from the uncapped run"
+    workload_gen
+    (fun (seed, p) ->
+      let _, faulty, _, tests = workload seed p in
+      QCheck.assume (tests <> []);
+      List.for_all
+        (fun (name, (run : capped_run)) ->
+          let full = (run max_int).Diagnosis.Outcome.solutions in
+          let n = List.length full in
+          List.sort_uniq Int.compare [ 1; n / 2; n - 1 ]
+          |> List.filter (fun c -> c >= 1 && c < n)
+          |> List.for_all (fun c ->
+                 let r = run c in
+                 List.length r.solutions <= c
+                 && r.truncated
+                 && List.for_all (fun s -> List.mem s full) r.solutions
+                 || QCheck.Test.fail_reportf
+                      "%s, cap %d of %d: %d solutions, truncated %b" name c n
+                      (List.length r.solutions) r.truncated))
+        (enumerating_engines ~k:p faulty tests))
+
+(* A tight budget stops the search; it must not steer it: every
+   solution of a budgeted run is one of the unbudgeted run's *)
+let prop_budget_subset =
+  QCheck.Test.make ~count:10
+    ~name:"tight budget: solutions from the unbudgeted run"
+    workload_gen
+    (fun (seed, p) ->
+      let _, faulty, _, tests = workload seed p in
+      QCheck.assume (tests <> []);
+      List.for_all
+        (fun (name, (run : capped_run)) ->
+          let full = (run max_int).Diagnosis.Outcome.solutions in
+          let budget = Sat.Budget.create ~conflicts:30 () in
+          let r = run ~budget max_int in
+          List.for_all (fun s -> List.mem s full) r.solutions
+          || QCheck.Test.fail_reportf "%s: a budgeted solution is new" name)
+        (enumerating_engines ~k:p faulty tests))
 
 (* ---------- xlist ---------- *)
 
@@ -1241,8 +1317,8 @@ let canon sols = Diagnosis.Solutions.canonical sols
 
 (* duality, exhaustively on the example circuits: the hitting-set
    engine's minimal diagnoses equal BSAT's essential solutions — as
-   canonical lists, so byte-comparable — at k = 1..3, at jobs 1/2/4,
-   under both expansion heuristics, with every solver answer certified *)
+   canonical lists, so byte-comparable — at k = 1..3, under both
+   expansion heuristics, with every solver answer certified *)
 let test_hitting_equals_bsat_examples () =
   List.iter
     (fun (name, faulty, tests) ->
@@ -1251,26 +1327,21 @@ let test_hitting_equals_bsat_examples () =
           canon (Diagnosis.Bsat.diagnose ~k faulty tests).Diagnosis.Bsat.solutions
         in
         List.iter
-          (fun jobs ->
-            List.iter
-              (fun heuristic ->
-                let r =
-                  Diagnosis.Hitting.diagnose ~heuristic ~certify:true ~jobs ~k
-                    faulty tests
-                in
-                let tag =
-                  Printf.sprintf "%s k=%d jobs=%d" name k jobs
-                in
-                Alcotest.(check (list (list int)))
-                  (tag ^ ": Hitting = BSAT") bsat r.Diagnosis.Hitting.outcome.solutions;
-                Alcotest.(check (list string)) (tag ^ ": no cert failures") []
-                  r.Diagnosis.Hitting.outcome.cert_failures;
-                Alcotest.(check bool) (tag ^ ": certified something") true
-                  (r.Diagnosis.Hitting.outcome.cert_checks > 0);
-                Alcotest.(check bool) (tag ^ ": complete") false
-                  r.Diagnosis.Hitting.outcome.truncated)
-              [ Diagnosis.Hitting.Bfs; Diagnosis.Hitting.Greedy ])
-          [ 1; 2; 4 ]
+          (fun heuristic ->
+            let r =
+              Diagnosis.Hitting.diagnose ~heuristic ~certify:true ~k faulty
+                tests
+            in
+            let tag = Printf.sprintf "%s k=%d" name k in
+            Alcotest.(check (list (list int)))
+              (tag ^ ": Hitting = BSAT") bsat r.Diagnosis.Hitting.outcome.solutions;
+            Alcotest.(check (list string)) (tag ^ ": no cert failures") []
+              r.Diagnosis.Hitting.outcome.cert_failures;
+            Alcotest.(check bool) (tag ^ ": certified something") true
+              (r.Diagnosis.Hitting.outcome.cert_checks > 0);
+            Alcotest.(check bool) (tag ^ ": complete") false
+              r.Diagnosis.Hitting.outcome.truncated)
+          [ Diagnosis.Hitting.Bfs; Diagnosis.Hitting.Greedy ]
       done)
     (hitting_circuits ())
 
@@ -1532,6 +1603,8 @@ let qtests =
       prop_incremental_carry_differential;
       prop_hitting_equals_bsat;
       prop_hitting_subsumes_valid_covers;
+      prop_cap_honoured;
+      prop_budget_subset;
       prop_xlist_contains_single_error;
       prop_xlist_contains_all_singleton_corrections;
     ]

@@ -6,6 +6,15 @@ module Lit = Sat.Lit
 
 (* ---------- Tseitin ---------- *)
 
+(* One plain circuit copy ({!Encode.Tseitin.copy}, as the diagnosis
+   instances build it) over fresh input variables that unit clauses pin
+   to [vector]; returns the gate-id -> variable map. *)
+let pinned_copy solver c vector =
+  let e = Encode.Emit.of_solver solver in
+  let inputs = Array.map (fun _ -> e.Encode.Emit.fresh ()) vector in
+  Array.iteri (fun i v -> e.Encode.Emit.clause [ Lit.make v vector.(i) ]) inputs;
+  Encode.Tseitin.copy e c ~inputs (fun _ -> Encode.Tseitin.Plain)
+
 (* With inputs pinned, the encoding must have exactly the simulation
    values as its unique model restricted to gate variables. *)
 let test_tseitin_matches_simulation () =
@@ -17,10 +26,7 @@ let test_tseitin_matches_simulation () =
     in
     let vector = Array.init 6 (fun _ -> Random.State.bool rng) in
     let solver = Sat.Solver.create () in
-    let vars =
-      Encode.Tseitin.encode_with_inputs (Encode.Emit.of_solver solver) c
-        vector
-    in
+    let vars = pinned_copy solver c vector in
     (match Sat.Solver.solve solver with
     | Sat.Solver.Unsat -> Alcotest.fail "consistency must be satisfiable"
     | Sat.Solver.Sat -> ());
@@ -39,9 +45,7 @@ let test_tseitin_forces_contradiction () =
   let c = Netlist.Generators.parity_tree 4 in
   let vector = [| true; false; true; true |] in
   let solver = Sat.Solver.create () in
-  let vars =
-    Encode.Tseitin.encode_with_inputs (Encode.Emit.of_solver solver) c vector
-  in
+  let vars = pinned_copy solver c vector in
   let out = c.C.outputs.(0) in
   let correct = (Sim.Simulator.outputs c vector).(0) in
   Sat.Solver.add_clause solver [ Lit.make vars.(out) (not correct) ];

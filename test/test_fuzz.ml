@@ -179,10 +179,10 @@ let prop_connection_error_rectifiable =
 
 (* ---------- diagnosis containment relations, sequential and parallel --- *)
 
-(* The paper's containment lemmas, checked at jobs = 1 *and* on the
-   domain portfolio so a parallel-merge bug that, say, drops a dominator
-   or leaks a non-minimal solution shows up as a broken relation.  On
-   failure the shrinker minimises the workload and the printer dumps the
+(* The paper's containment lemmas, with BSIM's path tracing (and so
+   COV's candidate sets) at jobs = 1 *and* on 4 domains, so a
+   parallel-merge bug that, say, drops a marked gate shows up as a
+   broken relation.  On failure the shrinker minimises the workload and the printer dumps the
    offending netlist itself as .bench text, so the counterexample is
    reproducible without rerunning the generator. *)
 
@@ -227,36 +227,32 @@ let prop_containment_relations =
       QCheck.assume (tests <> []);
       let check = Diagnosis.Validity.check_sat faulty tests in
       let subset a b = List.for_all (fun x -> List.mem x b) a in
-      List.for_all
+      let bsat = Diagnosis.Bsat.diagnose ~certify:true ~k:p faulty tests in
+      (* with certification on, every solver answer behind the
+         enumeration was independently verified *)
+      bsat.Diagnosis.Bsat.cert_checks > 0
+      && bsat.Diagnosis.Bsat.cert_failures = []
+      (* Lemma 1: every BSAT solution is a valid correction *)
+      && List.for_all check bsat.Diagnosis.Bsat.solutions
+      && ((not (check sites))
+         || List.exists (fun s -> subset s sites) bsat.Diagnosis.Bsat.solutions)
+      && List.for_all
         (fun jobs ->
           let bsim = Diagnosis.Bsim.diagnose ~jobs faulty tests in
           let cov = Diagnosis.Cover.diagnose ~jobs ~k:p faulty tests in
-          let bsat =
-            Diagnosis.Bsat.diagnose ~certify:true ~jobs ~k:p faulty tests
-          in
-          (* with certification on, every solver answer behind the
-             enumeration was independently verified *)
-          bsat.Diagnosis.Bsat.cert_checks > 0
-          && bsat.Diagnosis.Bsat.cert_failures = []
-          (* Lemma 1: every BSAT solution is a valid correction *)
-          && List.for_all check bsat.Diagnosis.Bsat.solutions
           (* COV covers are drawn from the BSIM candidate union *)
-          && List.for_all
+          List.for_all
                (fun s -> subset s bsim.Diagnosis.Bsim.union)
                cov.Diagnosis.Cover.solutions
-          (* Lemma 3 (completeness): every valid cover, and the injected
-             error itself, contains an essential BSAT solution *)
+          (* Lemma 3 (completeness): every valid cover, like the injected
+             error itself above, contains an essential BSAT solution *)
           && List.for_all
                (fun cover ->
                  (not (check cover))
                  || List.exists
                       (fun s -> subset s cover)
                       bsat.Diagnosis.Bsat.solutions)
-               cov.Diagnosis.Cover.solutions
-          && ((not (check sites))
-             || List.exists
-                  (fun s -> subset s sites)
-                  bsat.Diagnosis.Bsat.solutions))
+               cov.Diagnosis.Cover.solutions)
         [ 1; 4 ])
 
 (* An uncertified BSAT run adds a Lemma 1 clause for every candidate
@@ -379,14 +375,14 @@ let prop_guarded_mux_models =
 
 (* The hitting-set engine against three independent referees: BSAT's
    direct enumeration, a brute-force subset oracle on the smaller
-   instances, and its own budget-truncated runs — at jobs 1/2/4 and
-   under both expansion heuristics, with every solver answer certified.
+   instances, and its own budget-truncated runs — under both expansion
+   heuristics, with every solver answer certified.
    Reuses the netlist-dumping shrinker above, so a counterexample prints
    as reproducible .bench text. *)
 
 let prop_hitting_differential =
   QCheck.Test.make ~count:25
-    ~name:"hitting differential: BSAT, brute force, widths, budgets" diag_gen
+    ~name:"hitting differential: BSAT, brute force, budgets" diag_gen
     (fun ((_, _, ng, p) as params) ->
       let golden, faulty, _ = diag_workload params in
       let tests =
@@ -399,18 +395,15 @@ let prop_hitting_differential =
           (Diagnosis.Bsat.diagnose ~k:p faulty tests).Diagnosis.Bsat.solutions
       in
       List.for_all
-        (fun jobs ->
-          List.for_all
-            (fun heuristic ->
-              let r =
-                Diagnosis.Hitting.diagnose ~heuristic ~certify:true ~jobs ~k:p
-                  faulty tests
-              in
-              r.Diagnosis.Hitting.outcome.solutions = bsat
-              && r.Diagnosis.Hitting.outcome.cert_failures = []
-              && not r.Diagnosis.Hitting.outcome.truncated)
-            [ Diagnosis.Hitting.Bfs; Diagnosis.Hitting.Greedy ])
-        [ 1; 2; 4 ]
+        (fun heuristic ->
+          let r =
+            Diagnosis.Hitting.diagnose ~heuristic ~certify:true ~k:p faulty
+              tests
+          in
+          r.Diagnosis.Hitting.outcome.solutions = bsat
+          && r.Diagnosis.Hitting.outcome.cert_failures = []
+          && not r.Diagnosis.Hitting.outcome.truncated)
+        [ Diagnosis.Hitting.Bfs; Diagnosis.Hitting.Greedy ]
       && (ng > 25
          ||
          (* brute force: all subsets up to size p, valid and essential *)

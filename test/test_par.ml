@@ -194,60 +194,9 @@ let prop_cov_equivalent =
           && stats_string obsn = stats_string obs1)
         widths)
 
-let prop_bsat_equivalent =
-  QCheck.Test.make ~count:30 ~name:"BSAT: portfolio solutions = jobs=1"
-    workload_gen
-    (fun params ->
-      let faulty, tests, p = make_workload params in
-      QCheck.assume (tests <> []);
-      let r1 = Diagnosis.Bsat.diagnose ~jobs:1 ~k:p faulty tests in
-      List.for_all
-        (fun jobs ->
-          let rn = Diagnosis.Bsat.diagnose ~jobs ~k:p faulty tests in
-          (* solver counters legitimately differ across widths (each
-             worker explores its own cube); the solution list is the
-             contract *)
-          rn.Diagnosis.Bsat.solutions = r1.Diagnosis.Bsat.solutions
-          && rn.Diagnosis.Bsat.truncated = r1.Diagnosis.Bsat.truncated)
-        widths)
-
-let prop_advanced_equivalent =
-  QCheck.Test.make ~count:15 ~name:"advanced SAT: portfolio = jobs=1"
-    workload_gen
-    (fun params ->
-      let faulty, tests, p = make_workload params in
-      QCheck.assume (tests <> []);
-      let r1 =
-        Diagnosis.Advanced_sat.diagnose_dominators ~jobs:1 ~k:p faulty tests
-      in
-      List.for_all
-        (fun jobs ->
-          let rn =
-            Diagnosis.Advanced_sat.diagnose_dominators ~jobs ~k:p faulty
-              tests
-          in
-          rn.Diagnosis.Advanced_sat.outcome.solutions
-          = r1.Diagnosis.Advanced_sat.outcome.solutions)
-        widths)
-
-let prop_hybrid_equivalent =
-  QCheck.Test.make ~count:15 ~name:"hybrid guided: portfolio = jobs=1"
-    workload_gen
-    (fun params ->
-      let faulty, tests, p = make_workload params in
-      QCheck.assume (tests <> []);
-      let r1 = Diagnosis.Hybrid.guided ~jobs:1 ~k:p faulty tests in
-      List.for_all
-        (fun jobs ->
-          let rn = Diagnosis.Hybrid.guided ~jobs ~k:p faulty tests in
-          rn.Diagnosis.Hybrid.guided.solutions = r1.Diagnosis.Hybrid.guided.solutions
-          && rn.Diagnosis.Hybrid.guided.truncated = r1.Diagnosis.Hybrid.guided.truncated
-          && rn.Diagnosis.Hybrid.plain.truncated = r1.Diagnosis.Hybrid.plain.truncated)
-        widths)
-
 let prop_hybrid_repair_equivalent =
   QCheck.Test.make ~count:15
-    ~name:"hybrid cov_seed and repair: portfolio = jobs=1"
+    ~name:"hybrid cov_seed and repair: jobs>1 = jobs=1"
     workload_gen
     (fun params ->
       let faulty, tests, p = make_workload params in
@@ -265,54 +214,6 @@ let prop_hybrid_repair_equivalent =
       in
       let r1 = run 1 in
       List.for_all (fun jobs -> run jobs = r1) widths)
-
-let prop_incremental_equivalent =
-  QCheck.Test.make ~count:15
-    ~name:"incremental: portfolio enumeration = live instance"
-    workload_gen
-    (fun params ->
-      let faulty, tests, p = make_workload params in
-      QCheck.assume (List.length tests >= 2);
-      (* grow the instance in two steps, then enumerate at every width *)
-      let half = List.filteri (fun i _ -> i < List.length tests / 2) tests in
-      let rest =
-        List.filteri (fun i _ -> i >= List.length tests / 2) tests
-      in
-      (* a fresh context per width: a warm one would answer later
-         widths from its carried set instead of running the portfolio *)
-      let grown jobs =
-        let inc = Diagnosis.Incremental.create ~k:p faulty half in
-        Diagnosis.Incremental.add_tests inc rest;
-        (Diagnosis.Incremental.solutions ~jobs inc).outcome.solutions
-      in
-      let s1 = grown 1 in
-      List.for_all (fun jobs -> grown jobs = s1) widths)
-
-let prop_hitting_equivalent =
-  QCheck.Test.make ~count:15
-    ~name:"hitting: parallel HSDAG rounds = jobs=1, both heuristics"
-    workload_gen
-    (fun params ->
-      let faulty, tests, p = make_workload params in
-      QCheck.assume (tests <> []);
-      List.for_all
-        (fun heuristic ->
-          let r1 =
-            Diagnosis.Hitting.diagnose ~heuristic ~jobs:1 ~k:p faulty tests
-          in
-          List.for_all
-            (fun jobs ->
-              let rn =
-                Diagnosis.Hitting.diagnose ~heuristic ~jobs ~k:p faulty tests
-              in
-              (* node/core/reuse counters legitimately differ across
-                 widths (a round checks up to [jobs] nodes at once); the
-                 solution list is the contract *)
-              rn.Diagnosis.Hitting.outcome.solutions = r1.Diagnosis.Hitting.outcome.solutions
-              && rn.Diagnosis.Hitting.outcome.truncated
-                 = r1.Diagnosis.Hitting.outcome.truncated)
-            widths)
-        [ Diagnosis.Hitting.Bfs; Diagnosis.Hitting.Greedy ])
 
 let prop_adaptive_equivalent =
   QCheck.Test.make ~count:8
@@ -388,90 +289,12 @@ let prop_fault_sim_equivalent =
             widths)
         [ true; false ])
 
-(* ---------- budget exhaustion mid-shard ---------- *)
-
-let prop_zero_budget_truncates_identically =
-  QCheck.Test.make ~count:20
-    ~name:"exhausted budget: every width returns the same truncated result"
-    workload_gen
-    (fun params ->
-      let faulty, tests, p = make_workload params in
-      QCheck.assume (tests <> []);
-      let run jobs =
-        let budget = Sat.Budget.create ~conflicts:0 () in
-        Diagnosis.Bsat.diagnose ~budget ~jobs ~k:p faulty tests
-      in
-      let r1 = run 1 in
-      List.for_all
-        (fun jobs ->
-          let rn = run jobs in
-          rn.Diagnosis.Bsat.truncated = r1.Diagnosis.Bsat.truncated
-          && rn.Diagnosis.Bsat.solutions = r1.Diagnosis.Bsat.solutions)
-        widths)
-
-let prop_budget_subset_under_truncation =
-  QCheck.Test.make ~count:20
-    ~name:"tight budget: parallel solutions ⊆ unbudgeted set, all valid"
-    workload_gen
-    (fun params ->
-      let faulty, tests, p = make_workload params in
-      QCheck.assume (tests <> []);
-      let full = Diagnosis.Bsat.diagnose ~k:p faulty tests in
-      let check = Diagnosis.Validity.check_sat faulty tests in
-      List.for_all
-        (fun jobs ->
-          let budget = Sat.Budget.create ~conflicts:30 () in
-          let rn = Diagnosis.Bsat.diagnose ~budget ~jobs ~k:p faulty tests in
-          List.for_all
-            (fun s ->
-              List.mem s full.Diagnosis.Bsat.solutions && check s)
-            rn.Diagnosis.Bsat.solutions)
-        widths)
-
-let prop_hitting_zero_budget_identical =
-  QCheck.Test.make ~count:15
-    ~name:"hitting: exhausted budget truncates identically at every width"
-    workload_gen
-    (fun params ->
-      let faulty, tests, p = make_workload params in
-      QCheck.assume (tests <> []);
-      let run jobs =
-        let budget = Sat.Budget.create ~conflicts:0 () in
-        Diagnosis.Hitting.diagnose ~budget ~jobs ~k:p faulty tests
-      in
-      let r1 = run 1 in
-      r1.Diagnosis.Hitting.outcome.truncated
-      && List.for_all
-           (fun jobs ->
-             let rn = run jobs in
-             rn.Diagnosis.Hitting.outcome.truncated
-             && rn.Diagnosis.Hitting.outcome.solutions = r1.Diagnosis.Hitting.outcome.solutions)
-           widths)
-
-let prop_hitting_budget_subset =
-  QCheck.Test.make ~count:15
-    ~name:"hitting: tight budget yields ⊆ of the full minimal set, all valid"
-    workload_gen
-    (fun params ->
-      let faulty, tests, p = make_workload params in
-      QCheck.assume (tests <> []);
-      let full = Diagnosis.Hitting.diagnose ~k:p faulty tests in
-      let check = Diagnosis.Validity.check_sat faulty tests in
-      List.for_all
-        (fun jobs ->
-          let budget = Sat.Budget.create ~conflicts:30 () in
-          let rn = Diagnosis.Hitting.diagnose ~budget ~jobs ~k:p faulty tests in
-          List.for_all
-            (fun s -> List.mem s full.Diagnosis.Hitting.outcome.solutions && check s)
-            rn.Diagnosis.Hitting.outcome.solutions)
-        (1 :: widths))
-
 (* ---------- timing ---------- *)
 
 (* Reported engine times come from the wall clock at every width: process
-   CPU time sums over the domains, so while other domains run (portfolio
-   workers, or any busy domain beside a one-worker run) it could exceed
-   the elapsed time of the call. *)
+   CPU time sums over the domains, so while other domains run (BSIM's
+   tracing domains, or any busy domain beside a one-domain run) it could
+   exceed the elapsed time of the call. *)
 let timing_workload () =
   let golden =
     Netlist.Generators.random_dag ~seed:11 ~num_inputs:12 ~num_gates:200
@@ -520,7 +343,7 @@ let test_times_within_wall_beside_busy_domain () =
       ignore (Domain.join spinner))
     (fun () ->
       check_times_within_wall "bsat" (fun () ->
-          let r = Diagnosis.Bsat.diagnose ~jobs:1 ~k:2 faulty tests in
+          let r = Diagnosis.Bsat.diagnose ~k:2 faulty tests in
           Diagnosis.Bsat.[ r.cnf_time; r.one_time; r.all_time ]);
       check_times_within_wall "cov" (fun () ->
           cover_times (Diagnosis.Cover.diagnose ~jobs:1 ~k:4 faulty tests)))
@@ -620,24 +443,11 @@ let () =
           [
             prop_bsim_equivalent;
             prop_cov_equivalent;
-            prop_bsat_equivalent;
-            prop_advanced_equivalent;
-            prop_hybrid_equivalent;
             prop_hybrid_repair_equivalent;
-            prop_incremental_equivalent;
-            prop_hitting_equivalent;
             prop_adaptive_equivalent;
           ] );
       ( "fault sim",
         q [ prop_fault_sim_equivalent ] );
-      ( "truncation",
-        q
-          [
-            prop_zero_budget_truncates_identically;
-            prop_budget_subset_under_truncation;
-            prop_hitting_zero_budget_identical;
-            prop_hitting_budget_subset;
-          ] );
       ( "timing",
         [
           Alcotest.test_case "COV times within the wall clock at jobs 4"
