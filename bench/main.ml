@@ -915,17 +915,65 @@ let micro cfg =
 
 (* ---------- checker-performance smoke lane ---------- *)
 
+(* The certified-diagnosis row: certified over plain BSAT on the quick
+   g1423 cell at m = 8, cap 2000, each the fastest of [runs] alternating
+   runs (other load on the machine only adds time).  Certification adds
+   the checks of the proof steps and one model check per Sat answer.
+   With the incremental model check the ratio read 2.0-2.5 over 12 runs
+   on a shared 2-core machine; rescanning every input clause on every
+   answer read 3.4-4.0.  Returns whether the row passed. *)
+let certified_row () =
+  let max_ratio = 3.0 and runs = 7 in
+  let spec =
+    List.find
+      (fun s -> s.Bench_suite.Workload.label = "g1423")
+      (Bench_suite.Workload.paper_specs ~scale:quick.scale)
+  in
+  let p = Bench_suite.Workload.prepare spec in
+  let tests = List.filteri (fun i _ -> i < 8) p.Bench_suite.Workload.tests in
+  let run certify =
+    let t0 = Obs.Clock.wall () in
+    let r =
+      Diagnosis.Bsat.diagnose ~certify ~max_solutions:2000
+        ~k:spec.Bench_suite.Workload.num_errors p.Bench_suite.Workload.faulty
+        tests
+    in
+    (Obs.Clock.wall () -. t0, r)
+  in
+  (* a warm-up run, which must certify too *)
+  let certified_ok =
+    ref ((snd (run true)).Diagnosis.Bsat.cert_failures = [])
+  in
+  let plain = ref [] and certified = ref [] in
+  for _ = 1 to runs do
+    plain := fst (run false) :: !plain;
+    let dt, r = run true in
+    certified := dt :: !certified;
+    if r.Diagnosis.Bsat.cert_failures <> [] then certified_ok := false
+  done;
+  let fastest = List.fold_left Float.min infinity in
+  let t_plain = fastest !plain and t_cert = fastest !certified in
+  let ratio = t_cert /. t_plain in
+  let ok = !certified_ok && ratio <= max_ratio in
+  Fmt.pr
+    "  %-6s g1423 m=8 | plain %8.3f ms  certified %8.3f ms  ratio %5.2fx \
+     (max %.1fx)%s  %s@."
+    "bsat" (1e3 *. t_plain) (1e3 *. t_cert) ratio max_ratio
+    (if !certified_ok then "" else "  certificate failures")
+    (if ok then "ok" else "FAIL");
+  ok
+
 (* Solves a few fixed pigeonhole refutations with DRUP logging and
    replays each proof through the independent checker in backward,
    needed-set mode, failing loudly if checking costs more than
    [max_ratio] times the solve+log.  Certification (Encode.Certifier)
-   replays its proofs forward, step by step, so this lane gates the
-   checker's backward mode only; forward checking costs more on these
-   formulas.  A CI gate rather than a measurement, so it is not part
-   of the default experiment set; run it explicitly with
-   `bench/main.exe -- checksmoke`.  On failure the offending proof is
-   written next to the report so the regression is reproducible with
-   `satsolve --check`. *)
+   replays its proofs forward, step by step, so the pigeonhole rows gate
+   the checker's backward mode; the certified-diagnosis row above gates
+   what certification costs a diagnosis run.  A CI gate rather than a
+   measurement, so it is not part of the default experiment set; run it
+   explicitly with `bench/main.exe -- checksmoke`.  On failure the
+   offending proof is written next to the report so the regression is
+   reproducible with `satsolve --check`. *)
 let checksmoke _cfg =
   let max_ratio = 2.5 in
   let instances = [ ("php5", php 5 4); ("php6", php 6 5); ("php7", php 7 6) ] in
@@ -970,6 +1018,7 @@ let checksmoke _cfg =
         Fmt.pr "  wrote offending proof to %s@." file
       end)
     instances;
+  if not (certified_row ()) then failed := true;
   Fmt.pr "@.";
   if !failed then exit 1
 

@@ -24,7 +24,18 @@
    literally installed empty clause is a permanent refutation.  reason.(v)
    is the id of the clause whose scan enqueued v's literal (-1 for a RUP
    assumption); the reason graph doubles as the antecedent structure the
-   backward checker marks through. *)
+   backward checker marks through.
+
+   Model checks are incremental.  mval keeps a copy of the last model
+   checked for every variable of an input clause: 0 marks a variable no
+   input clause holds, 1 one not yet read, 2 false and 3 true.  Every
+   live input clause below mchecked has a witness, a literal true under
+   that copy, and sits in the witness's list: whead.(l) is the first
+   clause id witnessed by l and wnext.(ci) the next one, so each clause
+   is in at most one list.  A new model only re-witnesses the lists of
+   literals it made false, plus the clauses installed since the last
+   check.  A failed (or interrupted) check clears mvalid, and the next
+   one re-witnesses every clause. *)
 
 type clause = { lits : int array; mutable dead : bool; input : bool }
 
@@ -61,6 +72,13 @@ type t = {
   mutable fc : int array;
   (* clause id -> false literals among trail.(0..qhead-1); live only *)
   pending : ivec; (* scratch for the antecedent-marking traversal *)
+  mutable mval : Bytes.t; (* var -> copy of the last model checked *)
+  mvars : ivec; (* the variables of input clauses, each once *)
+  mutable whead : int array; (* lit code -> first witnessed clause, -1 *)
+  mutable wnext : int array; (* clause id -> next in its witness list *)
+  mutable mchecked : int; (* clause ids below this have witnesses *)
+  mutable mvalid : bool; (* the witnesses hold under mval *)
+  flipped : ivec; (* scratch: literals the new model made false *)
 }
 
 let create () =
@@ -82,6 +100,13 @@ let create () =
     dead_unpruned = 0;
     fc = [||];
     pending = ivec_make ();
+    mval = Bytes.make 16 '\000';
+    mvars = ivec_make ();
+    whead = Array.make 32 (-1);
+    wnext = [||];
+    mchecked = 0;
+    mvalid = false;
+    flipped = ivec_make ();
   }
 
 let refuted t = t.empty_count > 0 || t.contradiction
@@ -102,7 +127,13 @@ let grow t nvars =
     t.reason <- reason;
     let occs = Array.init (2 * cap') (fun _ -> ivec_make ()) in
     Array.blit t.occs 0 occs 0 (Array.length t.occs);
-    t.occs <- occs
+    t.occs <- occs;
+    let mval = Bytes.make cap' '\000' in
+    Bytes.blit t.mval 0 mval 0 cap;
+    t.mval <- mval;
+    let whead = Array.make (2 * cap') (-1) in
+    Array.blit t.whead 0 whead 0 (2 * cap);
+    t.whead <- whead
   end
 
 let enqueue t l reason =
@@ -280,13 +311,25 @@ let install t ~input codes =
     t.clauses <- a;
     let fcs = Array.make (max 16 (2 * t.n_clauses)) 0 in
     Array.blit t.fc 0 fcs 0 t.n_clauses;
-    t.fc <- fcs
+    t.fc <- fcs;
+    let wnext = Array.make (max 16 (2 * t.n_clauses)) (-1) in
+    Array.blit t.wnext 0 wnext 0 t.n_clauses;
+    t.wnext <- wnext
   end;
   let ci = t.n_clauses in
   t.clauses.(ci) <- c;
   t.n_clauses <- ci + 1;
   t.live <- t.live + 1;
   Array.iter (fun l -> ivec_push t.occs.(l) ci) codes;
+  if input then
+    Array.iter
+      (fun l ->
+        let v = l lsr 1 in
+        if Bytes.get t.mval v = '\000' then begin
+          Bytes.set t.mval v '\001';
+          ivec_push t.mvars v
+        end)
+      codes;
   let key = key_of codes in
   Hashtbl.replace t.index key
     (ci :: Option.value ~default:[] (Hashtbl.find_opt t.index key));
@@ -445,15 +488,85 @@ let check_step t step =
       end
       else Error (not_rup_msg lits)
 
-let model_ok ?(assumptions = []) t value =
-  let lit_true l = value (l lsr 1) = (l land 1 = 0) in
-  let ok = ref true in
-  for ci = 0 to t.n_clauses - 1 do
-    let c = t.clauses.(ci) in
-    if c.input && not c.dead then
-      if not (Array.exists lit_true c.lits) then ok := false
+(* give clause [ci] a witness true under mval and link it into that
+   literal's list; false when every literal is false *)
+let witness t ci =
+  let lits = t.clauses.(ci).lits and mval = t.mval in
+  let len = Array.length lits in
+  let k = ref 0 in
+  while
+    !k < len
+    &&
+    let l = Array.unsafe_get lits !k in
+    Char.code (Bytes.unsafe_get mval (l lsr 1)) <> 3 - (l land 1)
+  do
+    incr k
   done;
-  !ok && List.for_all (fun l -> lit_true (Lit.code l)) assumptions
+  !k < len
+  &&
+  let l = lits.(!k) in
+  t.wnext.(ci) <- t.whead.(l);
+  t.whead.(l) <- ci;
+  true
+
+(* witness the live input clauses with ids from [first] on *)
+let witness_from t first =
+  let ok = ref true and ci = ref first in
+  while !ok && !ci < t.n_clauses do
+    let c = t.clauses.(!ci) in
+    if c.input && (not c.dead) && not (witness t !ci) then ok := false;
+    incr ci
+  done;
+  !ok
+
+(* re-witness the clauses of literal [l]'s list, which the new model made
+   false; dead clauses leave the list *)
+let rewitness t l =
+  let ci = ref t.whead.(l) and ok = ref true in
+  t.whead.(l) <- -1;
+  while !ok && !ci >= 0 do
+    let next = t.wnext.(!ci) in
+    if (not t.clauses.(!ci).dead) && not (witness t !ci) then ok := false;
+    ci := next
+  done;
+  !ok
+
+let model_ok ?(assumptions = []) t value =
+  let valid = t.mvalid in
+  t.mvalid <- false;
+  (* refresh the copy, collecting the literals that became false *)
+  let flipped = t.flipped and mvars = t.mvars in
+  flipped.n <- 0;
+  for i = 0 to mvars.n - 1 do
+    let v = mvars.a.(i) in
+    let b = if value v then 3 else 2 in
+    let old = Char.code (Bytes.get t.mval v) in
+    if old <> b then begin
+      Bytes.set t.mval v (Char.chr b);
+      if old >= 2 then ivec_push flipped ((2 * v) + b - 2)
+    end
+  done;
+  let clauses_ok =
+    if valid then begin
+      let ok = ref true and i = ref 0 in
+      while !ok && !i < flipped.n do
+        ok := rewitness t flipped.a.(!i);
+        incr i
+      done;
+      !ok && witness_from t t.mchecked
+    end
+    else begin
+      Array.fill t.whead 0 (Array.length t.whead) (-1);
+      witness_from t 0
+    end
+  in
+  let ok =
+    clauses_ok
+    && List.for_all (fun l -> value (Lit.var l) = Lit.sign l) assumptions
+  in
+  t.mchecked <- t.n_clauses;
+  t.mvalid <- ok;
+  ok
 
 (* ------------------------------------------------------------------ *)
 (* One-shot certification                                             *)

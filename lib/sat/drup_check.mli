@@ -57,7 +57,17 @@ val model_ok : ?assumptions:Lit.t list -> t -> (int -> bool) -> bool
 (** Does the assignment (variable index -> value) satisfy every *input*
     clause, and make every [assumptions] literal true?  Certifies a
     [Sat] answer by evaluation, independently of the solver's model
-    bookkeeping. *)
+    bookkeeping.
+
+    The check is incremental and weakens nothing.  The checker keeps a
+    copy of the last model it checked, and each live input clause a
+    witness literal true under that copy.  A call reads every variable
+    of an input clause once, and re-witnesses only the clauses whose
+    witness the new model made false and the input clauses installed
+    since the last call: its cost is the variables seen plus the
+    clauses re-witnessed.  The first call, and the call after a failed
+    one, re-witness every clause.  Assumptions are read through the
+    assignment itself, so they may name variables no clause holds. *)
 
 val concludes : t -> assumptions:Lit.t list -> Proof.step array -> bool
 (** Does the live clause set certify an Unsat answer under

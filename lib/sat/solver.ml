@@ -143,19 +143,26 @@ type t = {
   mutable waste : int;                  (* words held by removed clauses *)
   clauses : ivec;                       (* problem-clause offsets *)
   learnts : ivec;                       (* learnt-clause offsets *)
-  mutable elim_stack : (int * int array list) list;
-      (* newest first: (var, its clauses at elimination time) *)
+  elim_rec : ivec;
+      (* the elimination record, flat and oldest first.  An entry is
+         [v; n] and then its n stored clauses, each a header word
+         (len lsl 1) lor (1 if it holds literal 2v) and its len literals.
+         Restoring v overwrites the entry's first word with -1. *)
+  elim_offs : ivec;                     (* entry index -> offset in elim_rec *)
+  mutable elim_at : int array;          (* var -> its live entry index, or -1 *)
+  mutable elim_dead : int;              (* words held by restored entries *)
   mutable cla_inc : float;
   mutable max_learnts : float;
   mutable simp_interval : int;
   mutable simp_next : int;              (* conflict count of next simplify *)
   mutable ok : bool;
   mutable model_valid : bool;
-  mutable final_model : bool array;
-  mutable model_pending : (int * int array list) list;
-      (* the eliminations at the last [Sat] answer, not yet replayed
-         into [final_model]: most reads are of active variables, so the
-         replay waits for the first read of an eliminated one *)
+  mutable final_model : bool array;     (* reused while nvars holds *)
+  mutable model_pending : int;
+      (* entries of [elim_rec] at the last [Sat] answer, not yet
+         replayed into [final_model] (0 once replayed): most reads are of
+         active variables, so the replay waits for the first read of an
+         eliminated one *)
   mutable s_decisions : int;
   mutable s_propagations : int;
   mutable s_conflicts : int;
@@ -208,7 +215,10 @@ let create () =
     waste = 0;
     clauses = ivec_make ();
     learnts = ivec_make ();
-    elim_stack = [];
+    elim_rec = ivec_make ();
+    elim_offs = ivec_make ();
+    elim_at = [||];
+    elim_dead = 0;
     cla_inc = 1.0;
     max_learnts = 1000.0;
     simp_interval = 1000;
@@ -216,7 +226,7 @@ let create () =
     ok = true;
     model_valid = false;
     final_model = [||];
-    model_pending = [];
+    model_pending = 0;
     s_decisions = 0;
     s_propagations = 0;
     s_conflicts = 0;
@@ -364,6 +374,7 @@ let grow_to s n =
     s.trail_lim <- copy_int s.trail_lim 0;
     s.heap <- copy_int s.heap 0;
     s.heap_pos <- copy_int s.heap_pos (-1);
+    s.elim_at <- copy_int s.elim_at (-1);
     let copy_f old =
       let a = Array.make cap 0.0 in
       Array.blit old 0 a 0 (Array.length old);
@@ -907,32 +918,53 @@ let install_permanent s codes =
 
 (* undo a variable elimination: reactivate the stored clauses, first
    restoring (recursively) any variable eliminated after this one that
-   they mention.  No proof steps: the checker never saw the stored
-   clauses leave its database. *)
+   they mention.  The entry is marked restored in place, and [bve_pass]
+   drops such entries once they hold half the record.  No proof steps:
+   the checker never saw the stored clauses leave its database. *)
 let rec restore_var s v =
   if s.eliminated.(v) then begin
     s.eliminated.(v) <- false;
-    let stored = ref [] in
-    s.elim_stack <-
-      List.filter
-        (fun (w, cls) ->
-          if w = v then begin
-            stored := cls;
-            false
-          end
-          else true)
-        s.elim_stack;
+    let r = s.elim_rec in
+    let o = s.elim_offs.a.(s.elim_at.(v)) in
+    s.elim_at.(v) <- -1;
+    r.a.(o) <- -1;
     if s.assigns.(v) < 0 then heap_insert s v;
-    List.iter
-      (fun codes ->
-        Array.iter
-          (fun l ->
-            let w = l lsr 1 in
-            if s.eliminated.(w) then restore_var s w)
-          codes;
-        install_permanent s codes)
-      !stored
+    (* restoring marks entries only, so the offsets stay put *)
+    let p = ref (o + 2) in
+    for _ = 1 to r.a.(o + 1) do
+      let len = r.a.(!p) lsr 1 in
+      let codes = Array.sub r.a (!p + 1) len in
+      p := !p + 1 + len;
+      Array.iter
+        (fun l ->
+          let w = l lsr 1 in
+          if s.eliminated.(w) then restore_var s w)
+        codes;
+      install_permanent s codes
+    done;
+    s.elim_dead <- s.elim_dead + (!p - o)
   end
+
+(* drop the restored entries from the elimination record, keeping the
+   live ones in order *)
+let compact_elim s =
+  let r = s.elim_rec and offs = s.elim_offs in
+  let w = ref 0 and j = ref 0 in
+  for i = 0 to offs.n - 1 do
+    let o = offs.a.(i) in
+    let stop = if i + 1 < offs.n then offs.a.(i + 1) else r.n in
+    let v = r.a.(o) in
+    if v >= 0 then begin
+      Array.blit r.a o r.a !w (stop - o);
+      offs.a.(!j) <- !w;
+      s.elim_at.(v) <- !j;
+      w := !w + (stop - o);
+      incr j
+    end
+  done;
+  r.n <- !w;
+  offs.n <- !j;
+  s.elim_dead <- 0
 
 exception Trivial_clause
 
@@ -1251,9 +1283,13 @@ let vivify_pass s occs =
    than the occurrences themselves.  Resolvents enter the proof (each is
    a RUP consequence while the originals are live); learnt occurrences
    leave the proof; problem occurrences are merely deactivated and kept
-   on [elim_stack] for model reconstruction and on-demand restoration —
-   the checker keeping them is sound (a superset only propagates more). *)
+   on [elim_rec] for model reconstruction and on-demand restoration —
+   the checker keeping them is sound (a superset only propagates more).
+   A pending model replays the record as it stood at its answer, so the
+   record is compacted only when no model is valid. *)
 let bve_pass s occs =
+  if (not s.model_valid) && 2 * s.elim_dead > s.elim_rec.n then
+    compact_elim s;
   (* [stamp.(l) = tick] marks the literals of the positive clause being
      resolved; one tick per positive clause, so no clearing *)
   let stamp = Array.make (2 * s.cap) 0 and tick = ref 0 in
@@ -1338,19 +1374,33 @@ let bve_pass s occs =
           (* proof: all resolvents first, then the learnt originals'
              deletions (their RUP checks need the originals live) *)
           List.iter (fun codes -> proof_add s codes) resolvents;
-          let stored = ref [] in
+          let r = s.elim_rec in
+          let o = r.n in
+          ivec_push s.elim_offs o;
+          s.elim_at.(x) <- s.elim_offs.n - 1;
+          ivec_push r x;
+          ivec_push r 0;
           List.iter
             (fun cr ->
               if c_learnt s cr then begin
                 s.s_deleted <- s.s_deleted + 1;
                 proof_delete s (c_codes s cr)
               end
-              else stored := c_codes s cr :: !stored;
+              else begin
+                let len = c_len s cr in
+                let h = r.n in
+                ivec_push r (len lsl 1);
+                for k = 0 to len - 1 do
+                  let l = c_lit s cr k in
+                  if l = 2 * x then r.a.(h) <- r.a.(h) lor 1;
+                  ivec_push r l
+                done;
+                r.a.(o + 1) <- r.a.(o + 1) + 1
+              end;
               (* binary watches skip the removed bit: detach eagerly *)
               if c_len s cr = 2 then detach s cr;
               mark_removed s cr)
             (pos @ neg);
-          s.elim_stack <- (x, List.rev !stored) :: s.elim_stack;
           s.eliminated.(x) <- true;
           (* activate the resolvents (no further Add steps) *)
           List.iter
@@ -1466,23 +1516,41 @@ let analyze_final s p =
   !core
 
 (* complete the model of the active set into a model of the original
-   formula: walk eliminations newest-first, making each variable true
-   exactly when one of its stored positive occurrences has every other
-   literal false (every negative occurrence is then satisfied, or one
-   of the recorded resolvents would have been falsified) *)
-let extend_model elim_stack m =
-  List.iter
-    (fun (v, cls) ->
-      let lit_true l =
-        if l land 1 = 0 then m.(l lsr 1) else not m.(l lsr 1)
-      in
-      m.(v) <-
-        List.exists
-          (fun codes ->
-            Array.exists (fun l -> l = 2 * v) codes
-            && Array.for_all (fun l -> l = 2 * v || not (lit_true l)) codes)
-          cls)
-    elim_stack
+   formula: walk the first [top] entries of the elimination record
+   newest-first, making each variable true exactly when one of its
+   stored positive occurrences has every other literal false (every
+   negative occurrence is then satisfied, or one of the recorded
+   resolvents would have been falsified) *)
+let extend_model s top =
+  let r = s.elim_rec.a and offs = s.elim_offs.a and m = s.final_model in
+  for i = top - 1 downto 0 do
+    let o = offs.(i) in
+    let v = r.(o) in
+    if v >= 0 then begin
+      let pos = 2 * v in
+      let n = r.(o + 1) in
+      let p = ref (o + 2) and c = ref 0 and found = ref false in
+      while (not !found) && !c < n do
+        let h = r.(!p) in
+        let stop = !p + (h lsr 1) in
+        if h land 1 = 1 then begin
+          let k = ref (!p + 1) in
+          while
+            !k <= stop
+            &&
+            let l = r.(!k) in
+            l = pos || m.(l lsr 1) <> (l land 1 = 0)
+          do
+            incr k
+          done;
+          found := !k > stop
+        end;
+        p := stop + 1;
+        incr c
+      done;
+      m.(v) <- !found
+    end
+  done
 
 let solve_limited ?(assumptions = []) ~budget s =
   s.model_valid <- false;
@@ -1640,8 +1708,12 @@ let solve_limited ?(assumptions = []) ~budget s =
          for the next call to resume, any other answer resets it *)
       if r = Solved Sat then begin
         s.model_valid <- true;
-        s.final_model <- Array.init s.nvars (fun v -> s.assigns.(v) = 1);
-        s.model_pending <- s.elim_stack;
+        if Array.length s.final_model <> s.nvars then
+          s.final_model <- Array.make s.nvars false;
+        for v = 0 to s.nvars - 1 do
+          s.final_model.(v) <- s.assigns.(v) = 1
+        done;
+        s.model_pending <- s.elim_offs.n;
         s.kept <- assumptions
       end
       else cancel_until s 0;
@@ -1659,11 +1731,11 @@ let solve ?assumptions s =
    solving invalidates it first), so a variable eliminated at the [Sat]
    answer is still flagged eliminated here.  [simplify] may eliminate
    more, which only triggers the replay early: [model_pending] is the
-   stack as it was at the answer. *)
+   record as it stood at the answer. *)
 let complete_model s =
-  if s.model_pending <> [] then begin
-    extend_model s.model_pending s.final_model;
-    s.model_pending <- []
+  if s.model_pending > 0 then begin
+    extend_model s s.model_pending;
+    s.model_pending <- 0
   end
 
 let value s v =
@@ -1675,6 +1747,23 @@ let model s =
   if not s.model_valid then invalid_arg "Solver.model: no model";
   complete_model s;
   Array.copy s.final_model
+
+let eliminations s =
+  let r = s.elim_rec.a in
+  let entry o =
+    let cls = ref [] and p = ref (o + 2) in
+    for _ = 1 to r.(o + 1) do
+      let len = r.(!p) lsr 1 and q = !p + 1 in
+      cls := List.init len (fun k -> Lit.of_code r.(q + k)) :: !cls;
+      p := q + len
+    done;
+    (r.(o), List.rev !cls)
+  in
+  List.filter_map
+    (fun i ->
+      let o = s.elim_offs.a.(i) in
+      if r.(o) >= 0 then Some (entry o) else None)
+    (List.init s.elim_offs.n (fun i -> s.elim_offs.n - 1 - i))
 
 let stats s =
   {

@@ -110,11 +110,19 @@ val set_proof : t -> Proof.t option -> unit
     (see {!Proof}). *)
 
 val value : t -> int -> bool
-(** Model value of a variable after a [Sat] answer.
+(** Model value of a variable after a [Sat] answer.  The first read of
+    an eliminated variable completes the model: one replay of the
+    elimination record as it stood at the answer, newest entry first.
     @raise Invalid_argument if the last call did not return [Sat]. *)
 
 val model : t -> bool array
-(** Complete model (indexed by variable) after a [Sat] answer. *)
+(** Complete model (indexed by variable) after a [Sat] answer: a fresh
+    array, which later calls never change. *)
+
+val eliminations : t -> (int * Lit.t list list) list
+(** The live elimination record, newest first: each eliminated variable
+    with the problem clauses stored when it went.  Those clauses come
+    back when the variable is restored. *)
 
 type stats = {
   decisions : int;

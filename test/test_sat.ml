@@ -570,6 +570,76 @@ let test_checker_model_ok () =
   Alcotest.(check bool) "all-false rejected" false
     (Sat.Drup_check.model_ok t (fun _ -> false))
 
+(* Incremental model checks: the named mutants.  Each model is an array
+   read through [fun v -> m.(v)]; variables are DIMACS-numbered in the
+   clauses and 0-based in the arrays. *)
+let model_ok_of t ?assumptions m =
+  Sat.Drup_check.model_ok ?assumptions t (fun v -> m.(v))
+
+let checker_of lists =
+  let t = Sat.Drup_check.create () in
+  List.iter (fun c -> Sat.Drup_check.add_clause t (clause_of_ints c)) lists;
+  t
+
+let test_model_ok_witness_flipped () =
+  (* (1 2) is witnessed by 1 alone; the other clauses keep true
+     literals when x1 flips, so only the flipped witness can catch it *)
+  let t = checker_of [ [ 1; 2 ]; [ 3; 1 ]; [ -2; 3 ]; [ -1; 3 ] ] in
+  Alcotest.(check bool) "first model" true
+    (model_ok_of t [| true; false; true |]);
+  Alcotest.(check bool) "witness flipped, clause falsified" false
+    (model_ok_of t [| false; false; true |]);
+  (* a flip that another literal covers is re-witnessed, not failed *)
+  let t = checker_of [ [ 1; 2 ]; [ 3 ] ] in
+  Alcotest.(check bool) "both true" true
+    (model_ok_of t [| true; true; true |]);
+  Alcotest.(check bool) "witness flipped, clause still true" true
+    (model_ok_of t [| false; true; true |])
+
+let test_model_ok_clause_since_check () =
+  let t = checker_of [ [ 1; 2 ] ] in
+  let m = [| true; false |] in
+  Alcotest.(check bool) "model holds" true (model_ok_of t m);
+  (* no variable changes, but a new input clause is false *)
+  Sat.Drup_check.add_clause t (clause_of_ints [ -1; 2 ]);
+  Alcotest.(check bool) "clause added since the check" false
+    (model_ok_of t m);
+  (* a derived clause is not model-checked; an input over a new
+     variable is *)
+  let t = checker_of [ [ 1; 2 ] ] in
+  Alcotest.(check bool) "model holds" true (model_ok_of t m);
+  (match
+     Sat.Drup_check.check_step t (Sat.Proof.Add (clause_of_ints [ 1; 2; -3 ]))
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "derived clause ignored" true
+    (model_ok_of t [| true; false; true |]);
+  Sat.Drup_check.add_clause t (clause_of_ints [ -3 ]);
+  Alcotest.(check bool) "new input over a new variable" false
+    (model_ok_of t [| true; false; true |])
+
+let test_model_ok_after_failure () =
+  (* (1 2) and (1 3) are both witnessed by 1.  Dropping x1 fails on
+     the first clause of its list before the other is re-witnessed.  The
+     next model flips only x2: (1 2) holds again and (1 3) stays false,
+     in no list of a literal that model made false, so only
+     re-witnessing every clause after the failure catches it *)
+  let t = checker_of [ [ 1; 2 ]; [ 1; 3 ] ] in
+  Alcotest.(check bool) "x1 covers both" true
+    (model_ok_of t [| true; false; false |]);
+  Alcotest.(check bool) "x1 dropped" false
+    (model_ok_of t [| false; false; false |]);
+  Alcotest.(check bool) "right after the failure" false
+    (model_ok_of t [| false; true; false |]);
+  Alcotest.(check bool) "then a model" true
+    (model_ok_of t [| false; true; true |]);
+  (* a failed assumption fails the check too; the clauses still hold *)
+  Alcotest.(check bool) "failed assumption" false
+    (model_ok_of t ~assumptions:[ Sat.Lit.pos 0 ] [| false; true; true |]);
+  Alcotest.(check bool) "after a failed assumption" true
+    (model_ok_of t ~assumptions:[ Sat.Lit.neg_of 0 ] [| false; true; true |])
+
 let test_checker_ghost_unit_rejected () =
   (* regression: deleting a unit clause must retract the root-trail
      literal it propagated.  Before the strict-deletion fix the literal
@@ -795,6 +865,104 @@ let test_simplify_unsat_certified () =
   match Sat.Drup_check.check_unsat ~mode:Sat.Drup_check.Backward f steps with
   | Ok () -> ()
   | Error m -> Alcotest.fail ("backward check failed: " ^ m)
+
+(* ---------- model completion ---------- *)
+
+(* The list-based completion the solver replayed before its elimination
+   record went flat, kept as the oracle: newest entry first, a variable
+   is true exactly when one of its stored positive occurrences has every
+   other literal false. *)
+let list_replay record m =
+  List.iter
+    (fun (v, cls) ->
+      let pos = Sat.Lit.pos v in
+      let lit_true l = m.(Sat.Lit.var l) = Sat.Lit.sign l in
+      m.(v) <-
+        List.exists
+          (fun c ->
+            List.exists (Sat.Lit.equal pos) c
+            && List.for_all
+                 (fun l -> Sat.Lit.equal l pos || not (lit_true l))
+                 c)
+          cls)
+    record
+
+let test_model_completion_replay () =
+  (* sparse random instances, enumerated with blocking clauses over
+     every eliminated variable (restoring them) and one more; explicit
+     rounds at random points, while the answer's model is pending or
+     after the blocking clause, eliminate variables again *)
+  let rng = Random.State.make [| 0xe11 |] in
+  let nvars = 12 in
+  let restored = ref 0 and again = ref 0 in
+  for _ = 1 to 20 do
+    let lit () =
+      Sat.Lit.make (Random.State.int rng nvars) (Random.State.bool rng)
+    in
+    let cls =
+      List.init 16 (fun _ ->
+          List.init (2 + Random.State.int rng 2) (fun _ -> lit ()))
+    in
+    let f = Sat.Cnf.create () in
+    f.Sat.Cnf.num_vars <- nvars;
+    List.iter (Sat.Cnf.add_clause f) cls;
+    let s = Sat.Solver.create () in
+    Sat.Solver.ensure_vars s nvars;
+    List.iter (Sat.Solver.add_clause s) cls;
+    Sat.Solver.simplify s;
+    let back = Array.make nvars false in
+    let elim () = List.map fst (Sat.Solver.eliminations s) in
+    let rec enumerate round prev =
+      if round < 30 && Sat.Solver.solve s = Sat.Solver.Sat then begin
+        let record = Sat.Solver.eliminations s in
+        List.iter
+          (fun (v, _) ->
+            if back.(v) then begin
+              incr again;
+              back.(v) <- false
+            end)
+          record;
+        (* the active variables' values, read before any completion *)
+        let expected =
+          Array.init nvars (fun v ->
+              (not (List.mem_assoc v record)) && Sat.Solver.value s v)
+        in
+        (* a round while the model is pending: the completion still
+           replays the record as it stood at the answer *)
+        if Random.State.bool rng then Sat.Solver.simplify s;
+        let values = Array.init nvars (Sat.Solver.value s) in
+        list_replay record expected;
+        Alcotest.(check (array bool)) "value = list replay" expected values;
+        let m = Sat.Solver.model s in
+        Alcotest.(check (array bool)) "model = values" values m;
+        Alcotest.(check bool) "model satisfies the formula" true
+          (Sat.Cnf.eval f m);
+        (match prev with
+        | Some (pm, copy) ->
+            Alcotest.(check (array bool)) "earlier model unchanged" copy pm
+        | None -> ());
+        let before = elim () in
+        let extra = Random.State.int rng nvars in
+        let vars = List.sort_uniq Int.compare (extra :: before) in
+        Sat.Solver.add_clause s
+          (List.map (fun v -> Sat.Lit.make v (not m.(v))) vars);
+        let after = elim () in
+        List.iter
+          (fun v ->
+            if not (List.mem v after) then begin
+              incr restored;
+              back.(v) <- true
+            end)
+          before;
+        if Random.State.int rng 3 = 0 then Sat.Solver.simplify s;
+        enumerate (round + 1) (Some (m, Array.copy m))
+      end
+    in
+    enumerate 0 None
+  done;
+  Alcotest.(check bool) "blocking clauses restored variables" true
+    (!restored > 0);
+  Alcotest.(check bool) "later rounds eliminated them again" true (!again > 0)
 
 (* ---------- CDCL vs DPLL on random formulas ---------- *)
 
@@ -1273,6 +1441,151 @@ let prop_kept_trail_certified =
     (QCheck.make ~print:session_print session_gen)
     (replay_session ~certified:true)
 
+(* ---------- incremental model checks ---------- *)
+
+(* One checker session: input clauses, proof steps and model checks
+   interleaved.  [Flip] checks the current model after flipping the
+   listed variables, under the listed assumptions; variables from
+   [nvars] on appear in no clause, so the checker never saw them.
+   [Del i] and [Weaken (i, l)] name the i-th clause of the session so
+   far (modulo its length); a weakened copy is a RUP Add step while the
+   clause it extends is live. *)
+type mc_op =
+  | Input of Sat.Lit.t list
+  | Derive of Sat.Lit.t list
+  | Weaken of int * Sat.Lit.t
+  | Del of int
+  | Flip of int list * Sat.Lit.t list
+
+let mc_session_gen =
+  let open QCheck.Gen in
+  let* nvars = int_range 1 7 in
+  let lit n =
+    let* v = int_range 0 (n - 1) in
+    let* sign = bool in
+    return (Sat.Lit.make v sign)
+  in
+  let clause = list_size (int_range 1 3) (lit nvars) in
+  let* cls = list_size (int_range 1 6) clause in
+  let op =
+    frequency
+      [
+        (3, map (fun c -> Input c) clause);
+        (2, map (fun c -> Derive c) clause);
+        (2, map2 (fun i l -> Weaken (i, l)) nat (lit nvars));
+        (2, map (fun i -> Del i) nat);
+        ( 5,
+          map2
+            (fun vs a -> Flip (vs, a))
+            (list_size (int_range 0 3) (int_range 0 (nvars + 2)))
+            (list_size (int_range 0 2) (lit (nvars + 3))) );
+      ]
+  in
+  let* ops = list_size (int_range 1 30) op in
+  return (nvars, cls, ops)
+
+let mc_session_print (nvars, cls, ops) =
+  let lits ls =
+    String.concat ","
+      (List.map (fun l -> string_of_int (Sat.Lit.to_dimacs l)) ls)
+  in
+  Printf.sprintf "%s | %s"
+    (cnf_print (nvars, cls))
+    (String.concat " "
+       (List.map
+          (function
+            | Input c -> Printf.sprintf "in(%s)" (lits c)
+            | Derive c -> Printf.sprintf "add(%s)" (lits c)
+            | Weaken (i, l) -> Printf.sprintf "weaken(%d,%s)" i (lits [ l ])
+            | Del i -> Printf.sprintf "del(%d)" i
+            | Flip (vs, a) ->
+                Printf.sprintf "check(flip %s; assume %s)"
+                  (String.concat "," (List.map string_of_int vs))
+                  (lits a))
+          ops))
+
+(* The from-scratch scan, kept as the oracle: every live input clause
+   has a true literal and every assumption holds.  The live clause set
+   is mirrored by normalized content, counting input and derived copies;
+   a deletion takes a derived copy before an input one, as the checker
+   does. *)
+let prop_model_ok_incremental =
+  QCheck.Test.make ~count:500
+    ~name:"incremental model_ok = a from-scratch scan"
+    (QCheck.make ~print:mc_session_print mc_session_gen)
+    (fun (nvars, cls, ops) ->
+      let t = Sat.Drup_check.create () in
+      let live = Hashtbl.create 16 in
+      let key c =
+        let codes = List.sort_uniq Int.compare (List.map Sat.Lit.code c) in
+        if List.exists (fun l -> List.mem (l lxor 1) codes) codes then None
+        else Some codes
+      in
+      let counts k = Option.value ~default:(0, 0) (Hashtbl.find_opt live k) in
+      let install ~input c =
+        Option.iter
+          (fun k ->
+            let i, d = counts k in
+            Hashtbl.replace live k (if input then (i + 1, d) else (i, d + 1)))
+          (key c)
+      in
+      let history = ref [||] in
+      let remember c = history := Array.append !history [| c |] in
+      let nth i = !history.(i mod Array.length !history) in
+      let model = Array.make (nvars + 3) false in
+      let lit_true l = model.(Sat.Lit.var l) = Sat.Lit.sign l in
+      let scan assumptions =
+        Hashtbl.fold
+          (fun k (i, _) ok ->
+            ok
+            && (i = 0
+               || List.exists (fun l -> lit_true (Sat.Lit.of_code l)) k))
+          live true
+        && List.for_all lit_true assumptions
+      in
+      let add_input c =
+        Sat.Drup_check.add_clause t c;
+        install ~input:true c;
+        remember c
+      in
+      let step c =
+        match Sat.Drup_check.check_step t (Sat.Proof.Add c) with
+        | Ok () ->
+            install ~input:false c;
+            remember c
+        | Error _ -> ()
+      in
+      List.iter add_input cls;
+      List.for_all
+        (function
+          | Input c ->
+              add_input c;
+              true
+          | Derive c ->
+              step c;
+              true
+          | Weaken (i, l) ->
+              step (l :: nth i);
+              true
+          | Del i -> (
+              let c = nth i in
+              let r = Sat.Drup_check.check_step t (Sat.Proof.Delete c) in
+              match key c with
+              | None -> r = Ok ()
+              | Some k -> (
+                  match (counts k, r) with
+                  | (0, 0), Error _ -> true
+                  | (i, d), Ok () when i + d > 0 ->
+                      Hashtbl.replace live k
+                        (if d > 0 then (i, d - 1) else (i - 1, d));
+                      true
+                  | _ -> false))
+          | Flip (vs, assumptions) ->
+              List.iter (fun v -> model.(v) <- not model.(v)) vs;
+              Sat.Drup_check.model_ok ~assumptions t (fun v -> model.(v))
+              = scan assumptions)
+        ops)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1287,6 +1600,7 @@ let qsuite =
       prop_deletion_heavy_proofs;
       prop_kept_trail;
       prop_kept_trail_certified;
+      prop_model_ok_incremental;
     ]
 
 let () =
@@ -1375,6 +1689,12 @@ let () =
             test_proof_mutations_rejected;
           Alcotest.test_case "rup basics" `Quick test_checker_rup_basics;
           Alcotest.test_case "model_ok" `Quick test_checker_model_ok;
+          Alcotest.test_case "model_ok: witness flipped" `Quick
+            test_model_ok_witness_flipped;
+          Alcotest.test_case "model_ok: clause since the check" `Quick
+            test_model_ok_clause_since_check;
+          Alcotest.test_case "model_ok: right after a failure" `Quick
+            test_model_ok_after_failure;
           Alcotest.test_case "ghost unit deletion rejected" `Quick
             test_checker_ghost_unit_rejected;
           Alcotest.test_case "core must survive deletions" `Quick
@@ -1393,6 +1713,8 @@ let () =
             test_simplify_restore_on_demand;
           Alcotest.test_case "unsat stays certified" `Quick
             test_simplify_unsat_certified;
+          Alcotest.test_case "completion = list replay" `Quick
+            test_model_completion_replay;
         ] );
       ("properties", qsuite);
     ]
